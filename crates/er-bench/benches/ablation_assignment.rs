@@ -9,7 +9,10 @@ use er_bench::table::TextTable;
 use er_bench::{bdm_from_keys, PAPER_SEED};
 use er_datagen::dataset::key_sequence;
 use er_datagen::ds1_spec;
+use std::sync::Arc;
+
 use er_loadbalance::block_split::{create_match_tasks, MatchTask, TaskAssignment};
+use er_loadbalance::PairSpace;
 
 fn round_robin_max_load(tasks: &[MatchTask], r: usize) -> u64 {
     let mut loads = vec![0u64; r];
@@ -22,11 +25,11 @@ fn round_robin_max_load(tasks: &[MatchTask], r: usize) -> u64 {
 fn main() {
     println!("== Ablation: greedy LPT vs round-robin match-task assignment ==\n");
     let keys = key_sequence(&ds1_spec(PAPER_SEED));
-    let bdm = bdm_from_keys(&keys, 20);
+    let space = PairSpace::dedup(Arc::new(bdm_from_keys(&keys, 20)));
     let mut table = TextTable::new(&["r", "tasks", "LPT max load", "RR max load", "RR/LPT"]);
     let mut ratios = Vec::new();
     for r in [20usize, 40, 80, 160] {
-        let tasks = create_match_tasks(&bdm, r);
+        let tasks = create_match_tasks(&space, r);
         let lpt = TaskAssignment::greedy(tasks.clone(), r);
         let lpt_max = *lpt.loads().iter().max().unwrap();
         let rr_max = round_robin_max_load(&tasks, r);

@@ -4,8 +4,9 @@
 //! Part 1 replays the appendix's worked example through the real
 //! engine and checks every concrete number. Part 2 links two
 //! generated product catalogs end-to-end with all three blocking
-//! strategies and reports workload balance. Part 3 runs the same
-//! catalogs through **two-source Sorted Neighborhood** (one
+//! strategies, asserts that they return the same pairs from the same
+//! number of comparisons, and reports workload balance. Part 3 runs
+//! the same catalogs through **two-source Sorted Neighborhood** (one
 //! interleaved sort order, cross-source window pairs only) with both
 //! boundary strategies, checked against the cross-source oracle —
 //! SN's candidate set is `O(n·w)` regardless of the blocking-key skew
@@ -20,8 +21,8 @@ use std::time::Instant;
 use er_bench::table::TextTable;
 use er_bench::{write_bench_json, Json, PAPER_SEED};
 use er_core::SourceId;
-use er_loadbalance::driver::ErConfig;
-use er_loadbalance::two_source::{appendix_example, run_linkage};
+use er_loadbalance::driver::{run_linkage, ErConfig};
+use er_loadbalance::two_source::appendix_example;
 use er_loadbalance::{StrategyKind, COMPARISONS};
 use er_sn::{
     run_two_source_sn, two_source_oracle_comparisons, two_source_sn_oracle, SnConfig, SnStrategy,
@@ -48,6 +49,7 @@ fn example_section(records: &mut Vec<(String, Json)>) {
         )
         .unwrap();
         let loads = outcome.match_metrics.per_reduce_counter(COMPARISONS);
+        assert_eq!(outcome.total_comparisons(), 12, "{strategy}: 12 pairs");
         table.row(vec![
             strategy.to_string(),
             outcome.total_comparisons().to_string(),
@@ -113,6 +115,7 @@ fn linkage_section(
     println!("-- scaled two-source linkage: two product catalogs, 2% DS1 each --\n");
     let mut table = TextTable::new(&["strategy", "comparisons", "max/mean load", "matches"]);
     let mut rows = Vec::new();
+    let mut reference = None;
     for strategy in [
         StrategyKind::Basic,
         StrategyKind::BlockSplit,
@@ -125,6 +128,16 @@ fn linkage_section(
         let outcome = run_linkage(partitions.to_vec(), sources.to_vec(), &config).unwrap();
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let imbalance = outcome.match_metrics.reduce_imbalance(COMPARISONS);
+        // Balancing moves comparisons between reduce tasks; it never
+        // adds, drops or changes one.
+        let found = (outcome.result.pair_set(), outcome.total_comparisons());
+        match &reference {
+            None => reference = Some(found),
+            Some(expected) => assert_eq!(
+                expected, &found,
+                "{strategy}: linkage pairs or comparison count differ from Basic"
+            ),
+        }
         table.row(vec![
             strategy.to_string(),
             outcome.total_comparisons().to_string(),

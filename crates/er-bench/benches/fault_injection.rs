@@ -80,7 +80,7 @@ fn main() {
                 .workflow(format!("{label}-{run}"))
                 .with_fault_policy(*policy)
                 .with_fault_plan(plan.clone());
-            let stages = run_er_in(&mut workflow, input.clone(), &config).unwrap();
+            let stages = run_er_in(&mut workflow, input.clone(), None, &config).unwrap();
             let metrics = workflow.finish();
             walls.push(start.elapsed().as_secs_f64() * 1e3);
             match &reference {

@@ -58,7 +58,7 @@ fn engine_parallelism_sweep() -> Vec<Json> {
         let pool = Arc::new(WorkerPool::new(parallelism));
         let mut workflow =
             Workflow::on_pool(format!("fig13-x{parallelism}"), pool).with_trace_sink(sink);
-        let stages = run_er_in(&mut workflow, input.clone(), &config).unwrap();
+        let stages = run_er_in(&mut workflow, input.clone(), None, &config).unwrap();
         workflow.finish();
         let m = &stages.match_metrics;
         let gauges = (m.peak_group_len(), m.peak_resident_records());

@@ -60,6 +60,7 @@ fn report_shuffle_location(_c: &mut Criterion) {
     let input = pipeline_input(0.02);
     let job = basic_job(
         Arc::new(PrefixBlocking::title3()),
+        None,
         PairComparer::new(Arc::new(Matcher::paper_default())),
         16,
         4,
@@ -103,6 +104,7 @@ fn report_reduce_memory(c: &mut Criterion) {
     let input = pipeline_input(scale);
     let job = basic_job(
         Arc::new(PrefixBlocking::title3()),
+        None,
         PairComparer::new(Arc::new(Matcher::paper_default())),
         16,
         4,

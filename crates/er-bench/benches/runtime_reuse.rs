@@ -54,7 +54,7 @@ fn main() {
     for run in 0..RUNS {
         let start = Instant::now();
         let mut workflow = Workflow::on_pool(format!("run-{run}"), Arc::clone(&pool));
-        let stages = run_er_in(&mut workflow, input.clone(), &config).unwrap();
+        let stages = run_er_in(&mut workflow, input.clone(), None, &config).unwrap();
         let metrics = workflow.finish();
         pooled_ms.push(start.elapsed().as_secs_f64() * 1e3);
         assert_eq!(

@@ -49,7 +49,7 @@ fn main() {
         if let Some(sink) = sink {
             workflow = workflow.with_trace_sink(sink);
         }
-        let stages = run_er_in(&mut workflow, input.clone(), &config).unwrap();
+        let stages = run_er_in(&mut workflow, input.clone(), None, &config).unwrap();
         let metrics = workflow.finish();
         (start.elapsed().as_secs_f64() * 1e3, stages, metrics)
     };

@@ -1,9 +1,7 @@
 //! # er-bench — the experiment harness
 //!
-//! One bench target per table/figure of the paper's evaluation (see
-//! `DESIGN.md` for the full index). Targets print the same rows or
-//! series the paper reports; `EXPERIMENTS.md` records paper-vs-measured
-//! for each.
+//! One bench target per table/figure of the paper's evaluation.
+//! Targets print the same rows or series the paper reports.
 //!
 //! Methodology: workloads are *exactly* reproduced (comparison counts
 //! per reduce task, emitted key-value pairs) via

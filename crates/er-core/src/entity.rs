@@ -39,6 +39,63 @@ impl fmt::Display for SourceId {
     }
 }
 
+/// Why a per-partition source-tag vector does not fit its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SourceTagError {
+    /// The tag count differs from the input partition count.
+    Count {
+        /// Tags given.
+        tags: usize,
+        /// Input partitions.
+        partitions: usize,
+    },
+    /// A tag names neither `R` nor `S`.
+    Unknown {
+        /// The partition carrying the tag.
+        partition: usize,
+        /// The tag.
+        tag: SourceId,
+    },
+}
+
+impl fmt::Display for SourceTagError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SourceTagError::Count { tags, partitions } => write!(
+                f,
+                "one source tag per input partition: {tags} tags for {partitions} partitions"
+            ),
+            SourceTagError::Unknown { partition, tag } => write!(
+                f,
+                "two-source matching knows only R and S: partition {partition} is tagged {tag}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SourceTagError {}
+
+/// Checks that `tags` labels each of `partitions` input partitions as
+/// `R` or `S` — the precondition of every two-source scenario.
+pub fn check_source_tags(tags: &[SourceId], partitions: usize) -> Result<(), SourceTagError> {
+    if tags.len() != partitions {
+        return Err(SourceTagError::Count {
+            tags: tags.len(),
+            partitions,
+        });
+    }
+    match tags
+        .iter()
+        .position(|&t| t != SourceId::R && t != SourceId::S)
+    {
+        Some(partition) => Err(SourceTagError::Unknown {
+            partition,
+            tag: tags[partition],
+        }),
+        None => Ok(()),
+    }
+}
+
 /// A globally unique reference to an entity: `(source, id)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntityRef {
@@ -159,6 +216,31 @@ impl fmt::Display for Entity {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn source_tags_must_cover_every_partition_with_r_or_s() {
+        assert_eq!(check_source_tags(&[SourceId::R, SourceId::S], 2), Ok(()));
+        let count = check_source_tags(&[SourceId::R], 2).unwrap_err();
+        assert_eq!(
+            count,
+            SourceTagError::Count {
+                tags: 1,
+                partitions: 2
+            }
+        );
+        assert!(count
+            .to_string()
+            .contains("one source tag per input partition"));
+        let unknown = check_source_tags(&[SourceId::R, SourceId(7)], 2).unwrap_err();
+        assert_eq!(
+            unknown,
+            SourceTagError::Unknown {
+                partition: 1,
+                tag: SourceId(7)
+            }
+        );
+        assert!(unknown.to_string().contains("src7"));
+    }
 
     #[test]
     fn construction_and_lookup() {

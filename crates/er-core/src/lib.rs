@@ -37,7 +37,7 @@ pub mod sortkey;
 
 pub use arena::{PreparedArena, PreparedId};
 pub use blocking::{BlockKey, BlockingFunction, ConstantBlocking, PrefixBlocking};
-pub use entity::{Entity, EntityId, EntityRef, SourceId};
+pub use entity::{check_source_tags, Entity, EntityId, EntityRef, SourceId, SourceTagError};
 pub use matcher::{MatchRule, Matcher, MatcherCache, PreparedEntity, PreparedHandle};
 pub use minhash::{
     band_hash, banding_probability, estimate_jaccard, shingle_hashes, MinHasher, ShingleScheme,

@@ -22,13 +22,16 @@
 //! Equivalence with executed counters is asserted by
 //! `tests/analysis_matches_execution.rs`.
 
+use std::sync::Arc;
+
+use er_core::SourceId;
 use mr_engine::partitioner::HashPartitioner;
 
 use crate::bdm::BlockDistributionMatrix;
 use crate::block_split::{create_match_tasks, TaskAssignment};
-use crate::pair_range::enumeration::pair_index;
 use crate::pair_range::mapper::relevant_ranges;
 use crate::pair_range::ranges::{RangeIndexer, RangePolicy};
+use crate::pair_space::PairSpace;
 use crate::StrategyKind;
 
 /// Exact per-task workloads of one strategy at `(m, r)` as induced by
@@ -81,9 +84,13 @@ pub fn analyze(
 ) -> StrategyWorkload {
     match strategy {
         StrategyKind::Basic => analyze_basic(bdm, r),
-        StrategyKind::BlockSplit => analyze_block_split(bdm, r),
-        StrategyKind::PairRange => analyze_pair_range(bdm, r, policy),
+        StrategyKind::BlockSplit => analyze_block_split(&dedup_space(bdm), r),
+        StrategyKind::PairRange => analyze_pair_range(&dedup_space(bdm), r, policy),
     }
+}
+
+fn dedup_space(bdm: &BlockDistributionMatrix) -> PairSpace {
+    PairSpace::dedup(Arc::new(bdm.clone()))
 }
 
 fn analyze_basic(bdm: &BlockDistributionMatrix, r: usize) -> StrategyWorkload {
@@ -106,9 +113,10 @@ fn analyze_basic(bdm: &BlockDistributionMatrix, r: usize) -> StrategyWorkload {
     }
 }
 
-fn analyze_block_split(bdm: &BlockDistributionMatrix, r: usize) -> StrategyWorkload {
+fn analyze_block_split(space: &PairSpace, r: usize) -> StrategyWorkload {
+    let bdm = space.bdm();
     let m = bdm.num_partitions();
-    let tasks = create_match_tasks(bdm, r);
+    let tasks = create_match_tasks(space, r);
     let assignment = TaskAssignment::greedy(tasks.clone(), r);
     let comparisons = assignment.loads().to_vec();
 
@@ -167,11 +175,8 @@ fn analyze_block_split(bdm: &BlockDistributionMatrix, r: usize) -> StrategyWorkl
     }
 }
 
-fn analyze_pair_range(
-    bdm: &BlockDistributionMatrix,
-    r: usize,
-    policy: RangePolicy,
-) -> StrategyWorkload {
+fn analyze_pair_range(space: &PairSpace, r: usize, policy: RangePolicy) -> StrategyWorkload {
+    let bdm = space.bdm();
     let ranges = RangeIndexer::new(bdm.total_pairs(), r, policy);
     let comparisons: Vec<u64> = (0..r as u64).map(|t| ranges.range_size(t)).collect();
 
@@ -199,14 +204,14 @@ fn analyze_pair_range(
         if n <= w_min {
             for x in 0..n {
                 let first = if x == 0 {
-                    pair_index(bdm, k, 0, 1)
+                    space.pair_index(k, 0, 1)
                 } else {
-                    pair_index(bdm, k, 0, x)
+                    space.pair_index(k, 0, x)
                 };
                 let last = if x + 1 < n {
-                    pair_index(bdm, k, x, n - 1)
+                    space.pair_index(k, x, n - 1)
                 } else {
-                    pair_index(bdm, k, x.saturating_sub(1), n - 1)
+                    space.pair_index(k, x.saturating_sub(1), n - 1)
                 };
                 let lo = ranges.range_of(first);
                 let hi = ranges.range_of(last);
@@ -216,7 +221,7 @@ fn analyze_pair_range(
             }
         } else {
             for x in 0..n {
-                let hits = relevant_ranges(bdm, &ranges, k, x);
+                let hits = relevant_ranges(space, &ranges, k, SourceId::R, x);
                 map_output += hits.len() as u64;
                 for t in hits {
                     membership_diff[t as usize] += 1;
@@ -294,7 +299,7 @@ mod tests {
             let mut expect_inputs = vec![0u64; r];
             for k in 0..bdm.num_blocks() {
                 for x in 0..bdm.size(k) {
-                    let hits = relevant_ranges(&bdm, &ranges, k, x);
+                    let hits = relevant_ranges(&dedup_space(&bdm), &ranges, k, SourceId::R, x);
                     expect_output += hits.len() as u64;
                     for t in hits {
                         expect_inputs[t as usize] += 1;

@@ -2,28 +2,41 @@
 //! reduce tasks. One MR job, no BDM — and no skew resistance: an
 //! entire block is matched inside a single reduce task, so the largest
 //! block lower-bounds the job's execution time.
+//!
+//! The reducer compares a block's triangle (dedup) or, when the job
+//! carries per-partition source tags, its R × S rectangle (linkage;
+//! the baseline of linkage workloads and of the null-key
+//! decomposition).
 
 use std::sync::Arc;
 
 use er_core::blocking::{BlockKey, BlockingFunction};
 use er_core::result::MatchPair;
+use er_core::{MatcherCache, SourceId};
 use mr_engine::prelude::*;
 
-use er_core::MatcherCache;
-
-use crate::compare::{PairComparer, PreparedRef};
+use crate::compare::PairComparer;
+use crate::keys::BlockSplitValue;
 use crate::{Ent, Keyed};
 
-/// Basic mapper: derive the blocking key(s), emit `(key, entity)`.
+/// Basic mapper: derive the blocking key(s), emit `(key, entity)`
+/// tagged with the partition's source.
 #[derive(Clone)]
 pub struct BasicMapper {
     blocking: Arc<dyn BlockingFunction>,
+    sources: Option<Arc<[SourceId]>>,
+    state: Option<(usize, SourceId)>,
 }
 
 impl BasicMapper {
-    /// Creates the mapper.
-    pub fn new(blocking: Arc<dyn BlockingFunction>) -> Self {
-        Self { blocking }
+    /// Creates the mapper; `sources[p]` is partition `p`'s side for
+    /// linkage, `None` for dedup.
+    pub fn new(blocking: Arc<dyn BlockingFunction>, sources: Option<Arc<[SourceId]>>) -> Self {
+        Self {
+            blocking,
+            sources,
+            state: None,
+        }
     }
 }
 
@@ -31,22 +44,38 @@ impl Mapper for BasicMapper {
     type KIn = ();
     type VIn = Ent;
     type KOut = BlockKey;
-    type VOut = Keyed;
+    type VOut = BlockSplitValue;
     type Side = ();
 
-    fn map(&mut self, _key: &(), entity: &Ent, ctx: &mut MapContext<BlockKey, Keyed, ()>) {
+    fn setup(&mut self, info: &MapTaskInfo) {
+        let p = info.task_index;
+        let source = self.sources.as_ref().map_or(SourceId::R, |s| s[p]);
+        self.state = Some((p, source));
+    }
+
+    fn map(
+        &mut self,
+        _key: &(),
+        entity: &Ent,
+        ctx: &mut MapContext<BlockKey, BlockSplitValue, ()>,
+    ) {
+        let (partition, source) = self.state.expect("setup ran");
         let replicas = Keyed::derive_all(self.blocking.as_ref(), entity);
         if replicas.is_empty() {
             ctx.add_counter(crate::bdm_job::NULL_KEY_ENTITIES, 1);
             return;
         }
         for keyed in replicas {
-            ctx.emit(keyed.key.clone(), keyed);
+            ctx.emit(
+                keyed.key.clone(),
+                BlockSplitValue::new(keyed, partition, source),
+            );
         }
     }
 }
 
-/// Basic reducer: stream all pairs of one block.
+/// Basic reducer: all pairs (dedup) or all R × S pairs (linkage) of
+/// one block.
 ///
 /// Every entity of the block must be buffered — the memory problem the
 /// paper points out ("a reduce task must therefore store all entities
@@ -57,52 +86,61 @@ impl Mapper for BasicMapper {
 pub struct BasicReducer {
     comparer: PairComparer,
     cache: MatcherCache,
+    linkage: bool,
 }
 
 impl BasicReducer {
-    /// Creates the reducer.
-    pub fn new(comparer: PairComparer) -> Self {
+    /// Creates the reducer; `linkage` compares only R × S pairs.
+    pub fn new(comparer: PairComparer, linkage: bool) -> Self {
         let cache = comparer.new_cache();
-        Self { comparer, cache }
+        Self {
+            comparer,
+            cache,
+            linkage,
+        }
     }
 }
 
 impl Reducer for BasicReducer {
     type KIn = BlockKey;
-    type VIn = Keyed;
+    type VIn = BlockSplitValue;
     type KOut = MatchPair;
     type VOut = f64;
 
     fn reduce(
         &mut self,
-        group: Group<'_, BlockKey, Keyed>,
+        group: Group<'_, BlockKey, BlockSplitValue>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
-        let block = group.key().clone();
-        let mut buffer: Vec<PreparedRef<'_>> = Vec::with_capacity(group.len());
-        for e2 in group.values() {
-            let e2 = self.comparer.prepare_cached(&mut self.cache, e2);
-            for e1 in &buffer {
-                self.comparer
-                    .compare_prepared(&self.cache, e1, &e2, &block, ctx);
-            }
-            buffer.push(e2);
+        let block = group.key();
+        let values = group.values();
+        if self.linkage {
+            let sides = values.map(|v| (v.source == SourceId::R, &v.keyed));
+            self.comparer
+                .compare_cross(&mut self.cache, sides, block, ctx);
+        } else {
+            let entities = values.map(|v| &v.keyed);
+            self.comparer
+                .compare_all_pairs(&mut self.cache, entities, block, ctx);
         }
     }
 }
 
 /// Builds the Basic job: hash-partition on the blocking key, sort and
-/// group on the full key.
+/// group on the full key. `sources` tags each input partition's side
+/// for linkage (`None`: dedup).
 pub fn basic_job(
     blocking: Arc<dyn BlockingFunction>,
+    sources: Option<Arc<[SourceId]>>,
     comparer: PairComparer,
     reduce_tasks: usize,
     parallelism: usize,
 ) -> Job<BasicMapper, BasicReducer> {
+    let linkage = sources.is_some();
     Job::builder(
         "er-basic",
-        BasicMapper::new(blocking),
-        BasicReducer::new(comparer),
+        BasicMapper::new(blocking, sources),
+        BasicReducer::new(comparer, linkage),
     )
     .reduce_tasks(reduce_tasks)
     .parallelism(parallelism)
@@ -132,6 +170,7 @@ mod tests {
     fn run(r: usize) -> (Vec<(MatchPair, f64)>, JobMetrics) {
         let job = basic_job(
             Arc::new(PrefixBlocking::new("title", 2)),
+            None,
             PairComparer::new(Arc::new(Matcher::paper_default())),
             r,
             1,

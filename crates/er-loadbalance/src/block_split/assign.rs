@@ -86,6 +86,12 @@ mod tests {
     use super::*;
     use crate::bdm::running_example_bdm;
     use crate::block_split::match_tasks::create_match_tasks;
+    use crate::pair_space::PairSpace;
+    use std::sync::Arc;
+
+    fn running_example() -> PairSpace {
+        PairSpace::dedup(Arc::new(running_example_bdm()))
+    }
 
     #[test]
     fn running_example_assignment_matches_figure5() {
@@ -94,7 +100,7 @@ mod tests {
         // R0 <- 0.*, R1 <- 3.0×1, R2 <- 2.*, R2 <- 3.1, R0 <- 1.*,
         // R1 <- 3.0. Loads: 7 / 7 / 6 ("between six and seven
         // comparisons").
-        let tasks = create_match_tasks(&running_example_bdm(), 3);
+        let tasks = create_match_tasks(&running_example(), 3);
         let assignment = TaskAssignment::greedy(tasks, 3);
         assert_eq!(assignment.loads(), &[7, 7, 6]);
         assert_eq!(assignment.reduce_task_for(0, 0, 0), Some(0));
@@ -108,7 +114,7 @@ mod tests {
 
     #[test]
     fn missing_match_task_is_none() {
-        let tasks = create_match_tasks(&running_example_bdm(), 3);
+        let tasks = create_match_tasks(&running_example(), 3);
         let assignment = TaskAssignment::greedy(tasks, 3);
         assert_eq!(assignment.reduce_task_for(3, 1, 1), Some(2));
         assert_eq!(assignment.reduce_task_for(9, 0, 0), None);
@@ -117,7 +123,7 @@ mod tests {
     #[test]
     fn loads_sum_to_total_pairs() {
         for r in [1, 2, 3, 5, 8] {
-            let tasks = create_match_tasks(&running_example_bdm(), r);
+            let tasks = create_match_tasks(&running_example(), r);
             let assignment = TaskAssignment::greedy(tasks, r);
             assert_eq!(assignment.loads().iter().sum::<u64>(), 20, "r={r}");
         }

@@ -3,21 +3,22 @@
 use std::sync::Arc;
 
 use er_core::blocking::BlockKey;
+use er_core::SourceId;
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 
 use super::assign::TaskAssignment;
 use super::match_tasks::{create_match_tasks_with_policy, SplitPolicy};
-use crate::bdm::BlockDistributionMatrix;
 use crate::keys::{BlockSplitKey, BlockSplitValue};
+use crate::pair_space::PairSpace;
 use crate::Keyed;
 
 /// The BlockSplit mapper. Each map task re-derives the match-task
-/// assignment from the (shared) BDM at `setup` time — mirroring the
-/// paper's `map_configure`, where every map task independently reads
-/// the BDM and computes the same deterministic assignment.
+/// assignment from the (shared) pair space at `setup` time — mirroring
+/// the paper's `map_configure`, where every map task independently
+/// reads the BDM and computes the same deterministic assignment.
 #[derive(Clone)]
 pub struct BlockSplitMapper {
-    bdm: Arc<BlockDistributionMatrix>,
+    space: Arc<PairSpace>,
     policy: SplitPolicy,
     state: Option<TaskState>,
 }
@@ -26,20 +27,23 @@ pub struct BlockSplitMapper {
 struct TaskState {
     assignment: Arc<TaskAssignment>,
     partition: usize,
-    m: usize,
+    source: SourceId,
+    /// The match tasks `(i, j)` pairing this partition's part of a
+    /// split block with another partition's.
+    sub_blocks: Vec<(usize, usize)>,
     r: usize,
 }
 
 impl BlockSplitMapper {
-    /// Creates the mapper over a computed BDM (paper split policy).
-    pub fn new(bdm: Arc<BlockDistributionMatrix>) -> Self {
-        Self::with_policy(bdm, SplitPolicy::paper())
+    /// Creates the mapper over a pair space (paper split policy).
+    pub fn new(space: Arc<PairSpace>) -> Self {
+        Self::with_policy(space, SplitPolicy::paper())
     }
 
     /// Creates the mapper with an explicit split policy.
-    pub fn with_policy(bdm: Arc<BlockDistributionMatrix>, policy: SplitPolicy) -> Self {
+    pub fn with_policy(space: Arc<PairSpace>, policy: SplitPolicy) -> Self {
         Self {
-            bdm,
+            space,
             policy,
             state: None,
         }
@@ -54,12 +58,17 @@ impl Mapper for BlockSplitMapper {
     type Side = ();
 
     fn setup(&mut self, info: &MapTaskInfo) {
-        let tasks = create_match_tasks_with_policy(&self.bdm, info.num_reduce_tasks, self.policy);
+        let r = info.num_reduce_tasks;
+        let p = info.task_index;
+        let tasks = create_match_tasks_with_policy(&self.space, r, self.policy);
         self.state = Some(TaskState {
-            assignment: Arc::new(TaskAssignment::greedy(tasks, info.num_reduce_tasks)),
-            partition: info.task_index,
-            m: info.num_map_tasks,
-            r: info.num_reduce_tasks,
+            assignment: Arc::new(TaskAssignment::greedy(tasks, r)),
+            partition: p,
+            source: self.space.source_of(p),
+            sub_blocks: (0..self.space.num_partitions())
+                .filter_map(|q| self.space.sub_block(p, q))
+                .collect(),
+            r,
         });
     }
 
@@ -70,15 +79,19 @@ impl Mapper for BlockSplitMapper {
         ctx: &mut MapContext<BlockSplitKey, BlockSplitValue, ()>,
     ) {
         let state = self.state.as_ref().expect("setup ran");
-        let Some(k) = self.bdm.block_index(key) else {
+        let Some(k) = self.space.block_index(key) else {
             // A key absent from the BDM means the two jobs saw
             // different data — a pipeline bug worth failing loudly on.
             panic!("blocking key {key} not present in the BDM");
         };
-        let comps = self.bdm.pairs_in_block(k);
-        let split =
-            self.policy
-                .should_split(self.bdm.size(k), comps, self.bdm.total_pairs(), state.r);
+        let comps = self.space.pairs_in_block(k);
+        let split = self.policy.should_split(
+            self.space.bdm().size(k),
+            comps,
+            self.space.total_pairs(),
+            state.r,
+        );
+        let value = || BlockSplitValue::new(keyed.clone(), state.partition, state.source);
         if !split {
             if comps > 0 {
                 let rt = state
@@ -92,24 +105,22 @@ impl Mapper for BlockSplitMapper {
                         i: 0,
                         j: 0,
                     },
-                    BlockSplitValue::new(keyed.clone(), state.partition),
+                    value(),
                 );
             }
         } else {
-            // Split block: emit for the own sub-block and every
-            // existing pairing with another partition's sub-block.
-            for i in 0..state.m {
-                let hi = state.partition.max(i);
-                let lo = state.partition.min(i);
-                if let Some(rt) = state.assignment.reduce_task_for(k, hi, lo) {
+            // Split block: emit for every existing match task pairing
+            // this partition's sub-block with a partner's.
+            for &(i, j) in &state.sub_blocks {
+                if let Some(rt) = state.assignment.reduce_task_for(k, i, j) {
                     ctx.emit(
                         BlockSplitKey {
                             reduce_task: rt as u32,
                             block: k as u32,
-                            i: hi as u32,
-                            j: lo as u32,
+                            i: i as u32,
+                            j: j as u32,
                         },
-                        BlockSplitValue::new(keyed.clone(), state.partition),
+                        value(),
                     );
                 }
             }
@@ -124,9 +135,12 @@ mod tests {
     use crate::running_example;
     use mr_engine::mapper::MapTaskInfo;
 
+    fn space() -> Arc<PairSpace> {
+        Arc::new(PairSpace::dedup(Arc::new(running_example_bdm())))
+    }
+
     fn run_partition(p: usize) -> Vec<(BlockSplitKey, String)> {
-        let bdm = Arc::new(running_example_bdm());
-        let mut mapper = BlockSplitMapper::new(bdm);
+        let mut mapper = BlockSplitMapper::new(space());
         let info = MapTaskInfo {
             task_index: p,
             num_map_tasks: 2,
@@ -198,8 +212,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not present in the BDM")]
     fn unknown_key_panics() {
-        let bdm = Arc::new(running_example_bdm());
-        let mut mapper = BlockSplitMapper::new(bdm);
+        let mut mapper = BlockSplitMapper::new(space());
         let info = MapTaskInfo {
             task_index: 0,
             num_map_tasks: 2,

@@ -1,20 +1,22 @@
-//! Match-task creation (Algorithm 1, lines 6–21).
+//! Match-task creation (Algorithm 1, lines 6–21; Appendix I-A for
+//! two sources).
 
 use er_core::pairs::triangle_pairs;
 
-use crate::bdm::BlockDistributionMatrix;
+use crate::pair_space::PairSpace;
 
 /// One unit of reduce-side work: an unsplit block (`i == j == 0`,
 /// written `k.*`), a sub-block matched against itself (`i == j`,
-/// written `k.i`), or the Cartesian product of two sub-blocks
-/// (`i > j`, written `k.i×j`).
+/// written `k.i`, dedup only), or the Cartesian product of two
+/// sub-blocks (`i ≠ j`, written `k.i×j`; `i > j` for dedup, `i ∈ R` and
+/// `j ∈ S` for linkage).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchTask {
     /// Block index in the BDM.
     pub block: usize,
-    /// Larger coordinate (input partition); 0 for unsplit blocks.
+    /// First coordinate (input partition); 0 for unsplit blocks.
     pub i: usize,
-    /// Smaller coordinate; 0 for unsplit blocks.
+    /// Second coordinate; 0 for unsplit blocks.
     pub j: usize,
     /// Number of pair comparisons this task performs.
     pub comparisons: u64,
@@ -45,10 +47,11 @@ pub fn fits_average(comparisons: u64, total_pairs: u64, r: usize) -> bool {
 /// and memory ("a reduce task must store all entities passed to a
 /// reduce call in main memory") — but Algorithm 1 only tests the
 /// workload average. `max_block_entities` adds the missing memory
-/// guard: blocks larger than the cap are split even when their pair
-/// count fits the average reduce workload, bounding the number of
-/// entities any single match task must buffer (given input partitions
-/// of comparable block coverage).
+/// guard: blocks larger than the cap (counting both sources of a
+/// linkage) are split even when their pair count fits the average
+/// reduce workload, bounding the number of entities any single match
+/// task must buffer (given input partitions of comparable block
+/// coverage).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SplitPolicy {
     /// Split any block with more entities than this, regardless of
@@ -81,25 +84,26 @@ impl SplitPolicy {
     }
 }
 
-/// Creates all match tasks for a one-source BDM (Algorithm 1 lines
-/// 6–21): small blocks become one task, large blocks split into
-/// sub-block tasks `k.i` and Cartesian tasks `k.i×j` over their
-/// non-empty input partitions.
-pub fn create_match_tasks(bdm: &BlockDistributionMatrix, r: usize) -> Vec<MatchTask> {
-    create_match_tasks_with_policy(bdm, r, SplitPolicy::paper())
+/// Creates all match tasks of a pair space (Algorithm 1 lines 6–21):
+/// small blocks become one task, large blocks split into one task per
+/// pairing of their non-empty input partitions — every partition with
+/// every lower or equal one for dedup, every R partition with every S
+/// partition for linkage.
+pub fn create_match_tasks(space: &PairSpace, r: usize) -> Vec<MatchTask> {
+    create_match_tasks_with_policy(space, r, SplitPolicy::paper())
 }
 
 /// [`create_match_tasks`] under an explicit [`SplitPolicy`].
 pub fn create_match_tasks_with_policy(
-    bdm: &BlockDistributionMatrix,
+    space: &PairSpace,
     r: usize,
     policy: SplitPolicy,
 ) -> Vec<MatchTask> {
-    let m = bdm.num_partitions();
-    let total = bdm.total_pairs();
+    let (bdm, m) = (space.bdm(), space.num_partitions());
+    let total = space.total_pairs();
     let mut tasks = Vec::new();
-    for k in 0..bdm.num_blocks() {
-        let comps = bdm.pairs_in_block(k);
+    for k in 0..space.num_blocks() {
+        let comps = space.pairs_in_block(k);
         if !policy.should_split(bdm.size(k), comps, total, r) {
             // Zero-pair blocks produce no work; the map phase drops
             // their entities (Algorithm 1 line 33 "if comps > 0").
@@ -111,24 +115,23 @@ pub fn create_match_tasks_with_policy(
                     comparisons: comps,
                 });
             }
-        } else {
-            for i in 0..m {
-                let size_i = bdm.size_in(k, i);
-                for j in 0..=i {
-                    let size_j = bdm.size_in(k, j);
-                    if size_i * size_j > 0 {
-                        let comparisons = if i == j {
-                            triangle_pairs(size_i)
-                        } else {
-                            size_i * size_j
-                        };
-                        tasks.push(MatchTask {
-                            block: k,
-                            i,
-                            j,
-                            comparisons,
-                        });
-                    }
+            continue;
+        }
+        for i in 0..m {
+            for j in (0..m).filter(|&j| space.sub_block(i, j) == Some((i, j))) {
+                let (size_i, size_j) = (bdm.size_in(k, i), bdm.size_in(k, j));
+                if size_i * size_j > 0 {
+                    let comparisons = if i == j {
+                        triangle_pairs(size_i)
+                    } else {
+                        size_i * size_j
+                    };
+                    tasks.push(MatchTask {
+                        block: k,
+                        i,
+                        j,
+                        comparisons,
+                    });
                 }
             }
         }
@@ -140,16 +143,22 @@ pub fn create_match_tasks_with_policy(
 mod tests {
     use super::*;
     use crate::bdm::running_example_bdm;
+    use crate::two_source::appendix_example;
+    use std::sync::Arc;
+
+    fn running_example() -> PairSpace {
+        PairSpace::dedup(Arc::new(running_example_bdm()))
+    }
 
     #[test]
     fn running_example_splits_only_block_z() {
         // P = 20, r = 3 -> average 6.67. Only z (10 pairs) splits.
-        let tasks = create_match_tasks(&running_example_bdm(), 3);
+        let tasks = create_match_tasks(&running_example(), 3);
         // Blocks w, x, y stay whole: exactly one task each, carrying
         // the block's full pair count. (Task (k,0,0) alone does not
         // identify an unsplit block — a split block's sub-block 0 has
         // the same encoding, exactly as in the paper's pseudo-code.)
-        let bdm = running_example_bdm();
+        let bdm = running_example();
         for k in [0usize, 1, 2] {
             let block_tasks: Vec<&MatchTask> = tasks.iter().filter(|t| t.block == k).collect();
             assert_eq!(block_tasks.len(), 1, "block {k} stays whole");
@@ -167,7 +176,7 @@ mod tests {
 
     #[test]
     fn running_example_task_sizes_match_figure5() {
-        let tasks = create_match_tasks(&running_example_bdm(), 3);
+        let tasks = create_match_tasks(&running_example(), 3);
         let total: u64 = tasks.iter().map(|t| t.comparisons).sum();
         assert_eq!(total, 20, "splitting preserves the pair count");
         let sizes: Vec<u64> = tasks.iter().map(|t| t.comparisons).collect();
@@ -176,14 +185,14 @@ mod tests {
 
     #[test]
     fn everything_fits_with_one_reduce_task() {
-        let tasks = create_match_tasks(&running_example_bdm(), 1);
+        let tasks = create_match_tasks(&running_example(), 1);
         assert!(tasks.iter().all(|t| t.is_unsplit()));
         assert_eq!(tasks.len(), 4);
     }
 
     #[test]
     fn huge_r_splits_every_multi_partition_block() {
-        let tasks = create_match_tasks(&running_example_bdm(), 100);
+        let tasks = create_match_tasks(&running_example(), 100);
         // All four blocks exceed P/r = 0.2 pairs, so all split into
         // multiple tasks (both partitions are populated everywhere).
         for k in 0..4 {
@@ -208,7 +217,7 @@ mod tests {
         // one sub-block task.
         let bdm =
             crate::bdm::BlockDistributionMatrix::from_counts(3, vec![(BlockKey::new("a"), 1, 5)]);
-        let tasks = create_match_tasks(&bdm, 10);
+        let tasks = create_match_tasks(&PairSpace::dedup(Arc::new(bdm)), 10);
         assert_eq!(tasks.len(), 1);
         assert_eq!((tasks[0].i, tasks[0].j, tasks[0].comparisons), (1, 1, 10));
     }
@@ -217,7 +226,7 @@ mod tests {
     fn memory_cap_splits_blocks_the_workload_criterion_keeps_whole() {
         // With r = 1 everything fits the average; a cap of 3 entities
         // still forces blocks w (4) and z (5) apart.
-        let bdm = running_example_bdm();
+        let bdm = running_example();
         let tasks = create_match_tasks_with_policy(&bdm, 1, SplitPolicy::with_memory_cap(3));
         let blocks_with_multiple: Vec<usize> = (0..4)
             .filter(|&k| tasks.iter().filter(|t| t.block == k).count() > 1)
@@ -229,11 +238,26 @@ mod tests {
 
     #[test]
     fn no_cap_reproduces_algorithm_1() {
-        let bdm = running_example_bdm();
+        let bdm = running_example();
         assert_eq!(
             create_match_tasks(&bdm, 3),
             create_match_tasks_with_policy(&bdm, 3, SplitPolicy::paper())
         );
+    }
+
+    #[test]
+    fn memory_cap_splits_linkage_blocks_by_entity_count() {
+        // r = 1 keeps every block whole; a cap of 4 entities splits z
+        // (2 R + 3 S) and only z, into its R × S sub-block pairings.
+        let space = appendix_example::pair_space();
+        let tasks = create_match_tasks_with_policy(&space, 1, SplitPolicy::with_memory_cap(4));
+        let z: Vec<(usize, usize, u64)> = tasks
+            .iter()
+            .filter(|t| t.block == 3)
+            .map(|t| (t.i, t.j, t.comparisons))
+            .collect();
+        assert_eq!(z, vec![(0, 1, 4), (0, 2, 2)]);
+        assert_eq!(tasks.iter().filter(|t| t.is_unsplit()).count(), 2, "w, x");
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! block's Cartesian product is preserved exactly. Match tasks are
 //! then assigned to reduce tasks greedily in descending size — LPT
 //! scheduling, which keeps the makespan within 4/3 of optimal.
+//!
+//! Linkage (Appendix I-A) runs the same scheme over a rectangle
+//! [`PairSpace`]: a split block's tasks pair an R partition with an S
+//! partition, and every reduce group compares its R × S pairs.
 
 pub mod assign;
 pub mod mapper;
@@ -16,65 +20,33 @@ pub mod reducer;
 
 use std::sync::Arc;
 
-use er_core::blocking::BlockKey;
 use mr_engine::engine::Job;
-use mr_engine::prelude::Partitions;
 
-use crate::bdm::BlockDistributionMatrix;
 use crate::compare::PairComparer;
 use crate::keys::BlockSplitKey;
+use crate::pair_space::PairSpace;
 
 pub use assign::TaskAssignment;
 pub use match_tasks::{create_match_tasks, create_match_tasks_with_policy, MatchTask, SplitPolicy};
 
 /// Builds the BlockSplit matching job over the BDM job's annotated
-/// side output.
-pub fn block_split_job(
-    bdm: Arc<BlockDistributionMatrix>,
-    comparer: PairComparer,
-    reduce_tasks: usize,
-    parallelism: usize,
-) -> Job<mapper::BlockSplitMapper, reducer::BlockSplitReducer> {
-    block_split_job_with_policy(
-        bdm,
-        comparer,
-        SplitPolicy::paper(),
-        reduce_tasks,
-        parallelism,
-    )
-}
-
-/// [`block_split_job`] under an explicit [`SplitPolicy`] (e.g. a
+/// side output, splitting blocks of `space` under `policy` (e.g. a
 /// memory cap forcing oversized blocks apart).
-pub fn block_split_job_with_policy(
-    bdm: Arc<BlockDistributionMatrix>,
+pub fn block_split_job(
+    space: Arc<PairSpace>,
     comparer: PairComparer,
     policy: SplitPolicy,
     reduce_tasks: usize,
     parallelism: usize,
 ) -> Job<mapper::BlockSplitMapper, reducer::BlockSplitReducer> {
+    let linkage = space.is_linkage();
     Job::builder(
         "er-block-split",
-        mapper::BlockSplitMapper::with_policy(bdm, policy),
-        reducer::BlockSplitReducer::new(comparer),
+        mapper::BlockSplitMapper::with_policy(space, policy),
+        reducer::BlockSplitReducer::new(comparer, linkage),
     )
     .reduce_tasks(reduce_tasks)
     .parallelism(parallelism)
     .partitioner(BlockSplitKey::partitioner())
     .build()
-}
-
-/// Convenience used by tests and benches: run BlockSplit end to end on
-/// already-annotated input.
-pub fn run_block_split(
-    annotated: Partitions<BlockKey, crate::Keyed>,
-    bdm: Arc<BlockDistributionMatrix>,
-    comparer: PairComparer,
-    reduce_tasks: usize,
-    parallelism: usize,
-) -> Result<
-    mr_engine::engine::JobOutput<er_core::result::MatchPair, f64, ()>,
-    mr_engine::error::MrError,
-> {
-    block_split_job(bdm, comparer, reduce_tasks, parallelism).run(annotated)
 }

@@ -1,21 +1,23 @@
 //! BlockSplit reduce function (Algorithm 1, lines 48–65).
 //!
-//! One reduce group == one match task. For a sub-block task (`i == j`)
-//! the reducer streams all pairs within the group. For a Cartesian
-//! task (`i ≠ j`) the paper's listing buffers the first partition's
-//! entities and streams the second's against the buffer, relying on
-//! Hadoop's merge delivering one partition's values contiguously. Our
-//! engine gives that guarantee (stable merge in map-task order), but
-//! the reducer is nonetheless written to be order-robust: it buckets
-//! values by their partition annotation and computes the cross
-//! product, which is the same set of comparisons under *any*
-//! interleaving.
+//! One reduce group == one match task. For a dedup task `k.*` or `k.i`
+//! (`i == j`) the reducer streams all pairs within the group. For a
+//! Cartesian task `k.i×j` the paper's listing buffers the first
+//! partition's entities and streams the second's against the buffer,
+//! relying on Hadoop's merge delivering one partition's values
+//! contiguously. Our engine gives that guarantee (stable merge in
+//! map-task order), but the reducer is nonetheless written to be
+//! order-robust: it buckets values by their partition annotation and
+//! computes the cross product, which is the same set of comparisons
+//! under *any* interleaving. Every linkage task is a Cartesian product
+//! of its R and S entities ("the reduce tasks read all entities of R
+//! and compare each entity of S to all entities of R").
 
 use er_core::result::MatchPair;
-use er_core::MatcherCache;
+use er_core::{MatcherCache, SourceId};
 use mr_engine::reducer::{Group, ReduceContext, Reducer};
 
-use crate::compare::{PairComparer, PreparedRef};
+use crate::compare::PairComparer;
 use crate::keys::{BlockSplitKey, BlockSplitValue};
 
 /// The BlockSplit reducer.
@@ -23,13 +25,18 @@ use crate::keys::{BlockSplitKey, BlockSplitValue};
 pub struct BlockSplitReducer {
     comparer: PairComparer,
     cache: MatcherCache,
+    linkage: bool,
 }
 
 impl BlockSplitReducer {
-    /// Creates the reducer.
-    pub fn new(comparer: PairComparer) -> Self {
+    /// Creates the reducer; `linkage` compares only R × S pairs.
+    pub fn new(comparer: PairComparer, linkage: bool) -> Self {
         let cache = comparer.new_cache();
-        Self { comparer, cache }
+        Self {
+            comparer,
+            cache,
+            linkage,
+        }
     }
 }
 
@@ -45,48 +52,24 @@ impl Reducer for BlockSplitReducer {
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         let key = *group.key();
-        let block_key = group
-            .values()
-            .next()
-            .expect("groups are non-empty")
-            .keyed
-            .key
-            .clone();
-        if key.i == key.j {
+        let first = group.values().next().expect("groups are non-empty");
+        let block_key = &first.keyed.key;
+        let values = group.values();
+        if self.linkage {
+            let sides = values.map(|v| (v.source == SourceId::R, &v.keyed));
+            self.comparer
+                .compare_cross(&mut self.cache, sides, block_key, ctx);
+        } else if key.i == key.j {
             // Match task k.* or k.i: all pairs within the group.
-            let mut buffer: Vec<PreparedRef<'_>> = Vec::with_capacity(group.len());
-            for e2 in group.values() {
-                let e2 = self.comparer.prepare_cached(&mut self.cache, &e2.keyed);
-                for e1 in &buffer {
-                    self.comparer
-                        .compare_prepared(&self.cache, e1, &e2, &block_key, ctx);
-                }
-                buffer.push(e2);
-            }
+            let entities = values.map(|v| &v.keyed);
+            self.comparer
+                .compare_all_pairs(&mut self.cache, entities, block_key, ctx);
         } else {
-            // Match task k.i×j: Cartesian product of two sub-blocks.
-            // Bucket by the partition annotation of the first value
-            // seen (paper: `firstPartitionIndex`).
-            let mut values = group.values();
-            let first = values.next().expect("groups are non-empty");
-            let first_partition = first.partition;
-            let mut bucket_a: Vec<PreparedRef<'_>> =
-                vec![self.comparer.prepare_cached(&mut self.cache, &first.keyed)];
-            let mut bucket_b: Vec<PreparedRef<'_>> = Vec::new();
-            for v in values {
-                let prepared = self.comparer.prepare_cached(&mut self.cache, &v.keyed);
-                if v.partition == first_partition {
-                    bucket_a.push(prepared);
-                } else {
-                    bucket_b.push(prepared);
-                }
-            }
-            for e1 in &bucket_a {
-                for e2 in &bucket_b {
-                    self.comparer
-                        .compare_prepared(&self.cache, e1, e2, &block_key, ctx);
-                }
-            }
+            // Match task k.i×j: bucket by the partition of the first
+            // value seen (paper: `firstPartitionIndex`).
+            let sides = values.map(|v| (v.partition == first.partition, &v.keyed));
+            self.comparer
+                .compare_cross(&mut self.cache, sides, block_key, ctx);
         }
     }
 }
@@ -115,6 +98,7 @@ mod tests {
                     Arc::new(Entity::new(id, [("title", title)])),
                 ),
                 partition,
+                SourceId::R,
             ),
         )
     }
@@ -137,8 +121,10 @@ mod tests {
                 (k, v)
             })
             .collect();
-        let mut reducer =
-            BlockSplitReducer::new(PairComparer::count_only(Arc::new(Matcher::paper_default())));
+        let mut reducer = BlockSplitReducer::new(
+            PairComparer::count_only(Arc::new(Matcher::paper_default())),
+            false,
+        );
         let mut c = ctx();
         reducer.reduce(Group::for_testing(&entries), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 6, "C(4,2) pairs");
@@ -161,8 +147,10 @@ mod tests {
             k.j = 0;
             entries.push((k, v));
         }
-        let mut reducer =
-            BlockSplitReducer::new(PairComparer::count_only(Arc::new(Matcher::paper_default())));
+        let mut reducer = BlockSplitReducer::new(
+            PairComparer::count_only(Arc::new(Matcher::paper_default())),
+            false,
+        );
         let mut c = ctx();
         reducer.reduce(Group::for_testing(&entries), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 6);
@@ -180,8 +168,10 @@ mod tests {
             k.j = 0;
             entries.push((k, v));
         }
-        let mut reducer =
-            BlockSplitReducer::new(PairComparer::count_only(Arc::new(Matcher::paper_default())));
+        let mut reducer = BlockSplitReducer::new(
+            PairComparer::count_only(Arc::new(Matcher::paper_default())),
+            false,
+        );
         let mut c = ctx();
         reducer.reduce(Group::for_testing(&entries), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 6, "2 x 3 cross pairs");
@@ -197,7 +187,7 @@ mod tests {
         k.i = 1;
         entries.push((k, v));
         let mut reducer =
-            BlockSplitReducer::new(PairComparer::new(Arc::new(Matcher::paper_default())));
+            BlockSplitReducer::new(PairComparer::new(Arc::new(Matcher::paper_default())), false);
         let mut c = ctx();
         reducer.reduce(Group::for_testing(&entries), &mut c);
         assert_eq!(c.output().len(), 1);

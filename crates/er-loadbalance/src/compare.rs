@@ -291,6 +291,56 @@ impl PairComparer {
     }
 }
 
+impl PairComparer {
+    /// Compares every pair of one block's `entities` once — the
+    /// triangle of deduplication — preparing each entity as it streams
+    /// in and pairing it with everything buffered before it.
+    pub fn compare_all_pairs<'a>(
+        &self,
+        cache: &mut MatcherCache,
+        entities: impl Iterator<Item = &'a Keyed>,
+        block: &BlockKey,
+        ctx: &mut ReduceContext<MatchPair, f64>,
+    ) {
+        let mut buffer: Vec<PreparedRef<'a>> = Vec::with_capacity(entities.size_hint().0);
+        for e2 in entities {
+            let e2 = self.prepare_cached(cache, e2);
+            for e1 in &buffer {
+                self.compare_prepared(cache, e1, &e2, block, ctx);
+            }
+            buffer.push(e2);
+        }
+    }
+
+    /// Compares every entity flagged `true` with every entity flagged
+    /// `false` — a rectangle — passing the `true` side first (the R
+    /// side of a linkage). Bucketing instead of streaming makes the
+    /// comparison set independent of how the two sides interleave.
+    pub fn compare_cross<'a>(
+        &self,
+        cache: &mut MatcherCache,
+        entities: impl Iterator<Item = (bool, &'a Keyed)>,
+        block: &BlockKey,
+        ctx: &mut ReduceContext<MatchPair, f64>,
+    ) {
+        let mut first: Vec<PreparedRef<'a>> = Vec::new();
+        let mut second: Vec<PreparedRef<'a>> = Vec::new();
+        for (is_first, keyed) in entities {
+            let prepared = self.prepare_cached(cache, keyed);
+            if is_first {
+                first.push(prepared);
+            } else {
+                second.push(prepared);
+            }
+        }
+        for e1 in &first {
+            for e2 in &second {
+                self.compare_prepared(cache, e1, e2, block, ctx);
+            }
+        }
+    }
+}
+
 /// A block entity paired with its cached prepared handle — what the
 /// strategy reducers buffer instead of bare [`Keyed`] references.
 /// `prepared` is `None` exactly when the comparer is count-only.

@@ -1,18 +1,19 @@
-//! The end-to-end ER workflow (paper Figure 2).
+//! The end-to-end ER workflow (paper Figure 2), for deduplication and
+//! two-source linkage alike.
 //!
-//! Both the single-source [`run_er`] and the two-source
-//! [`crate::two_source::run_linkage`] execute through the shared
+//! [`run_er`] and [`run_linkage`] execute through the shared
 //! [`mr_engine::workflow::Workflow`] layer: the BDM job's side outputs
 //! are chained into the matching job with the identical-partitioning
 //! invariant enforced by the layer (a violation is the typed
 //! [`MrError::StageShapeMismatch`], not a debug assertion), and each
 //! outcome carries the rolled-up [`WorkflowMetrics`] alongside the
-//! per-job metrics.
+//! per-job metrics. The matching job itself is built by
+//! [`run_match_stage`], which the LSH driver shares.
 
 use std::sync::Arc;
 
-use er_core::blocking::{BlockingFunction, PrefixBlocking};
-use er_core::{MatchResult, Matcher};
+use er_core::blocking::{BlockKey, BlockingFunction, PrefixBlocking};
+use er_core::{check_source_tags, MatchResult, Matcher, SourceId};
 use mr_engine::error::MrError;
 use mr_engine::fault::{FaultPlan, FaultPolicy};
 use mr_engine::input::Partitions;
@@ -23,10 +24,11 @@ use mr_engine::workflow::{StageGraph, Workflow, WorkflowMetrics};
 use crate::basic::basic_job;
 use crate::bdm::BlockDistributionMatrix;
 use crate::bdm_job::compute_bdm_in;
-use crate::block_split::{block_split_job_with_policy, SplitPolicy};
+use crate::block_split::{block_split_job, SplitPolicy};
 use crate::compare::PairComparer;
 use crate::pair_range::{pair_range_job, RangePolicy};
-use crate::{Ent, StrategyKind};
+use crate::pair_space::PairSpace;
+use crate::{Ent, Keyed, StrategyKind};
 
 /// Configuration of one ER run.
 ///
@@ -280,26 +282,119 @@ pub struct ErStages {
     pub match_metrics: JobMetrics,
 }
 
+/// What the matching job reads.
+pub enum MatchInput {
+    /// Basic's input: raw entity partitions, blocked by its own map
+    /// phase. `sources` tags each partition's side for linkage;
+    /// `weight_hint` seeds the pool's shortest-remaining-work ranking.
+    Raw {
+        /// The entity partitions.
+        entities: Partitions<(), Ent>,
+        /// Per-partition source tags (`None`: dedup).
+        sources: Option<Arc<[SourceId]>>,
+        /// Scheduling weight, when a BDM already counted the pairs.
+        weight_hint: Option<u64>,
+    },
+    /// BlockSplit's and PairRange's input: the BDM job's annotated side
+    /// output over its pair space.
+    Planned {
+        /// The annotated partitions.
+        annotated: Partitions<BlockKey, Keyed>,
+        /// The pairs to balance.
+        space: Arc<PairSpace>,
+    },
+}
+
+/// Runs `config.strategy`'s matching job on `input` as a stage of `wf`
+/// and collects its matches — the one match-stage builder of blocking
+/// dedup, linkage and LSH. A planned job's exact pair count doubles as
+/// its scheduling weight.
+///
+/// # Panics
+/// If Basic gets planned input or BlockSplit/PairRange raw input.
+pub fn run_match_stage(
+    wf: &mut Workflow,
+    config: &ErConfig,
+    input: MatchInput,
+) -> Result<(MatchResult, JobMetrics), MrError> {
+    let (r, p, spill) = (
+        config.reduce_tasks(),
+        config.parallelism(),
+        config.spill_threshold(),
+    );
+    let out = match (config.strategy, input) {
+        (
+            StrategyKind::Basic,
+            MatchInput::Raw {
+                entities,
+                sources,
+                weight_hint,
+            },
+        ) => {
+            let mut job = basic_job(
+                Arc::clone(&config.blocking),
+                sources,
+                config.comparer(),
+                r,
+                p,
+            )
+            .with_spill_threshold(spill);
+            if let Some(weight) = weight_hint {
+                job = job.with_weight_hint(weight);
+            }
+            wf.chained_stage(&job, entities)?
+        }
+        (StrategyKind::BlockSplit, MatchInput::Planned { annotated, space }) => {
+            let weight = space.total_pairs();
+            let job = block_split_job(space, config.comparer(), config.split_policy, r, p)
+                .with_spill_threshold(spill)
+                .with_weight_hint(weight);
+            wf.chained_stage(&job, annotated)?
+        }
+        (StrategyKind::PairRange, MatchInput::Planned { annotated, space }) => {
+            let weight = space.total_pairs();
+            let job = pair_range_job(space, config.comparer(), config.range_policy, r, p)
+                .with_spill_threshold(spill)
+                .with_weight_hint(weight);
+            wf.chained_stage(&job, annotated)?
+        }
+        (strategy, _) => panic!("{strategy} cannot read this matching input"),
+    };
+    let mut result = MatchResult::new();
+    for (pair, score) in out.reduce_outputs.into_iter().flatten() {
+        result.insert(pair, score);
+    }
+    Ok((result, out.metrics))
+}
+
 /// Executes the ER scenario (paper Figure 2) as stages of `workflow` —
-/// the scenario compiler both [`run_er`] and the facade crate's
-/// `Resolver` drive. The workflow decides *where* stages run (its own
-/// transient threads, or a shared persistent pool); the stages are the
-/// same either way, so outputs are byte-identical.
+/// the scenario compiler [`run_er`], [`run_linkage`] and the facade
+/// crate's `Resolver` drive. `sources` selects the workload: `None`
+/// deduplicates one source; `Some(tags)` links two (`tags[p]` labels
+/// input partition `p` as `R` or `S`; only cross-source pairs within
+/// shared blocks are compared). The workflow decides *where* stages
+/// run (its own transient threads, or a shared persistent pool); the
+/// stages are the same either way, so outputs are byte-identical.
 ///
 /// The scenario compiles to a [`StageGraph`] instead of an eager
 /// loop: Basic is a single `match` node; BlockSplit/PairRange is
-/// `bdm → match`, where the matching node also seeds the job's
-/// [`mr_engine::engine::Job::with_weight_hint`] from the BDM's exact
-/// pair count so the pool's shortest-remaining-work policy can rank
-/// the batch. Node bodies submit their task sets to the pool's
+/// `bdm → match`. Node bodies submit their task sets to the pool's
 /// central ready-queue, letting stages of concurrently resolving
 /// workflows interleave.
+///
+/// # Panics
+/// If `sources` does not fit the input (see [`check_source_tags`]).
 pub fn run_er_in(
     workflow: &mut Workflow,
     input: Partitions<(), Ent>,
+    sources: Option<Vec<SourceId>>,
     config: &ErConfig,
 ) -> Result<ErStages, MrError> {
     use std::cell::RefCell;
+    if let Some(tags) = &sources {
+        check_source_tags(tags, input.len()).unwrap_or_else(|e| panic!("{e}"));
+    }
+    let sources: Option<Arc<[SourceId]>> = sources.map(Into::into);
     let stages = RefCell::new(None);
     // Intermediate slot the `bdm` node fills and the `match` node
     // drains (used by the BDM-based strategies only); the dependency
@@ -307,98 +402,84 @@ pub fn run_er_in(
     // so the node closures' borrows outlive it.
     let products = RefCell::new(None);
     let mut graph: StageGraph<'_, MrError> = StageGraph::new();
-    match config.strategy {
-        StrategyKind::Basic => {
-            graph.node("match", &[], |wf| {
-                let job = basic_job(
-                    Arc::clone(&config.blocking),
-                    config.comparer(),
-                    config.reduce_tasks(),
-                    config.parallelism(),
-                )
-                .with_spill_threshold(config.spill_threshold());
-                let out = wf.chained_stage(&job, input)?;
-                let mut result = MatchResult::new();
-                for (pair, score) in out.reduce_outputs.into_iter().flatten() {
-                    result.insert(pair, score);
-                }
-                *stages.borrow_mut() = Some(ErStages {
-                    result,
-                    bdm: None,
-                    bdm_metrics: None,
-                    match_metrics: out.metrics,
-                });
-                Ok(())
-            });
-        }
-        StrategyKind::BlockSplit | StrategyKind::PairRange => {
-            let bdm_node = graph.node("bdm", &[], |wf| {
-                let (bdm, annotated, bdm_metrics) = compute_bdm_in(
-                    wf,
-                    input,
-                    Arc::clone(&config.blocking),
-                    config.reduce_tasks(),
-                    config.parallelism(),
-                    config.use_combiner,
-                    config.spill_threshold(),
-                )?;
-                *products.borrow_mut() = Some((Arc::new(bdm), annotated, bdm_metrics));
-                Ok(())
-            });
-            graph.node("match", &[bdm_node], |wf| {
+    let (deps, raw) = if config.strategy == StrategyKind::Basic {
+        (Vec::new(), Some(input))
+    } else {
+        let bdm_node = graph.node("bdm", &[], |wf| {
+            let (bdm, annotated, bdm_metrics) = compute_bdm_in(
+                wf,
+                input,
+                Arc::clone(&config.blocking),
+                config.reduce_tasks(),
+                config.parallelism(),
+                config.use_combiner,
+                config.spill_threshold(),
+            )?;
+            *products.borrow_mut() = Some((Arc::new(bdm), annotated, bdm_metrics));
+            Ok(())
+        });
+        (vec![bdm_node], None)
+    };
+    graph.node("match", &deps, |wf| {
+        // The BDM's side outputs are chained into the matching job by
+        // the workflow layer, which enforces the identical-partitioning
+        // invariant Algorithms 1–3 require.
+        let (input, bdm, bdm_metrics) = match raw {
+            Some(entities) => (
+                MatchInput::Raw {
+                    entities,
+                    sources,
+                    weight_hint: None,
+                },
+                None,
+                None,
+            ),
+            None => {
                 let (bdm, annotated, bdm_metrics) = products
                     .borrow_mut()
                     .take()
                     .expect("bdm node ran before match");
-                // The BDM's side outputs are chained into the matching
-                // job by the workflow layer, which enforces the
-                // identical-partitioning invariant Algorithms 1–3
-                // require. The BDM's exact pair count doubles as the
-                // job's scheduling weight.
-                let out = match config.strategy {
-                    StrategyKind::BlockSplit => {
-                        let job = block_split_job_with_policy(
-                            Arc::clone(&bdm),
-                            config.comparer(),
-                            config.split_policy,
-                            config.reduce_tasks(),
-                            config.parallelism(),
-                        )
-                        .with_spill_threshold(config.spill_threshold())
-                        .with_weight_hint(bdm.total_pairs());
-                        wf.chained_stage(&job, annotated)?
-                    }
-                    _ => {
-                        let job = pair_range_job(
-                            Arc::clone(&bdm),
-                            config.comparer(),
-                            config.range_policy,
-                            config.reduce_tasks(),
-                            config.parallelism(),
-                        )
-                        .with_spill_threshold(config.spill_threshold())
-                        .with_weight_hint(bdm.total_pairs());
-                        wf.chained_stage(&job, annotated)?
-                    }
-                };
-                let mut result = MatchResult::new();
-                for (pair, score) in out.reduce_outputs.into_iter().flatten() {
-                    result.insert(pair, score);
-                }
-                *stages.borrow_mut() = Some(ErStages {
-                    result,
-                    bdm: Some(bdm),
-                    bdm_metrics: Some(bdm_metrics),
-                    match_metrics: out.metrics,
-                });
-                Ok(())
-            });
-        }
-    }
+                let space = Arc::new(PairSpace::new(Arc::clone(&bdm), sources.as_deref()));
+                (
+                    MatchInput::Planned { annotated, space },
+                    Some(bdm),
+                    Some(bdm_metrics),
+                )
+            }
+        };
+        let (result, match_metrics) = run_match_stage(wf, config, input)?;
+        *stages.borrow_mut() = Some(ErStages {
+            result,
+            bdm,
+            bdm_metrics,
+            match_metrics,
+        });
+        Ok(())
+    });
     graph.run(workflow)?;
     Ok(stages
         .into_inner()
         .expect("match node populates the outcome"))
+}
+
+/// Runs [`run_er_in`] on a transient per-run [`Workflow`] named `name`.
+fn run_transient(
+    name: String,
+    input: Partitions<(), Ent>,
+    sources: Option<Vec<SourceId>>,
+    config: &ErConfig,
+) -> Result<ErOutcome, MrError> {
+    let mut workflow = Workflow::new(name)
+        .with_fault_policy(config.fault_policy())
+        .with_fault_plan(config.fault_plan().clone());
+    let stages = run_er_in(&mut workflow, input, sources, config)?;
+    Ok(ErOutcome {
+        result: stages.result,
+        bdm: stages.bdm,
+        bdm_metrics: stages.bdm_metrics,
+        match_metrics: stages.match_metrics,
+        workflow: workflow.finish(),
+    })
 }
 
 /// Runs entity resolution over pre-partitioned input (each inner `Vec`
@@ -417,17 +498,29 @@ pub fn run_er_in(
 /// `Resolver` with `Scenario::Dedup` — which runs the identical stages
 /// on a persistent worker pool shared across runs.
 pub fn run_er(input: Partitions<(), Ent>, config: &ErConfig) -> Result<ErOutcome, MrError> {
-    let mut workflow = Workflow::new(format!("er-{}", config.strategy))
-        .with_fault_policy(config.fault_policy())
-        .with_fault_plan(config.fault_plan().clone());
-    let stages = run_er_in(&mut workflow, input, config)?;
-    Ok(ErOutcome {
-        result: stages.result,
-        bdm: stages.bdm,
-        bdm_metrics: stages.bdm_metrics,
-        match_metrics: stages.match_metrics,
-        workflow: workflow.finish(),
-    })
+    run_transient(format!("er-{}", config.strategy), input, None, config)
+}
+
+/// Runs two-source entity resolution (record linkage, paper Appendix
+/// I): `sources[p]` tags input partition `p` as belonging to `R` or
+/// `S`; only cross-source pairs within shared blocks are compared.
+///
+/// # Deprecation path
+///
+/// A thin wrapper over [`run_er_in`] on a transient per-run
+/// [`Workflow`], kept for compatibility; new code should use the
+/// facade crate's `Runtime` + `Resolver` with `Scenario::Linkage`,
+/// which runs the identical stages on a persistent worker pool.
+///
+/// # Panics
+/// If `sources` does not fit the input (see [`check_source_tags`]).
+pub fn run_linkage(
+    input: Partitions<(), Ent>,
+    sources: Vec<SourceId>,
+    config: &ErConfig,
+) -> Result<ErOutcome, MrError> {
+    let name = format!("linkage-{}", config.strategy);
+    run_transient(name, input, Some(sources), config)
 }
 
 /// Reference implementation: per-block all-pairs matching with no

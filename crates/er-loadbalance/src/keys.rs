@@ -53,31 +53,23 @@ impl std::fmt::Display for BlockSplitKey {
     }
 }
 
-/// Map output value of BlockSplit: the annotated entity plus the input
-/// partition it came from ("for split blocks we annotate entities with
-/// the partition index for use in the reduce phase").
+/// Map output value of Basic and BlockSplit: the annotated entity plus
+/// the input partition it came from ("for split blocks we annotate
+/// entities with the partition index for use in the reduce phase") and
+/// that partition's source side.
 #[derive(Debug, Clone)]
 pub struct BlockSplitValue {
     /// The blocking-key-annotated entity.
     pub keyed: Keyed,
     /// Input partition the entity was read from.
     pub partition: u32,
-    /// Source side (R/S); only meaningful for two-source matching.
+    /// Source side (R/S); `R` throughout for deduplication.
     pub source: SourceId,
 }
 
 impl BlockSplitValue {
-    /// One-source value.
-    pub fn new(keyed: Keyed, partition: usize) -> Self {
-        Self {
-            keyed,
-            partition: partition as u32,
-            source: SourceId::R,
-        }
-    }
-
-    /// Two-source value with an explicit side.
-    pub fn with_source(keyed: Keyed, partition: usize, source: SourceId) -> Self {
+    /// Tags `keyed` with its input partition and source side.
+    pub fn new(keyed: Keyed, partition: usize, source: SourceId) -> Self {
         Self {
             keyed,
             partition: partition as u32,
@@ -104,7 +96,7 @@ pub struct PairRangeKey {
     pub range: u32,
     /// Block index in the BDM.
     pub block: u32,
-    /// Source side; `R` sorts before `S` so two-source reducers can
+    /// Source side; `R` sorts before `S` so linkage reducers can
     /// buffer `R` and stream `S`.
     pub source: SourceId,
     /// Global entity index within the block (and source).

@@ -20,10 +20,13 @@
 //!    * [`pair_range`] — Algorithm 2: enumerate all comparison pairs
 //!      globally and give each reduce task an equal range.
 //!
-//! [`two_source`] extends BlockSplit and PairRange to linkage between
-//! two sources (Appendix I); [`null_keys`] composes matching for
-//! entities without a valid blocking key; [`multipass`] implements the
-//! paper's future-work multi-pass blocking; [`analysis`] computes exact
+//! The strategies balance a [`pair_space::PairSpace`]: the BDM read as
+//! one triangle of pairs per block for deduplication, or — given a
+//! source tag per input partition — one `R × S` rectangle per block
+//! for two-source linkage (Appendix I; [`two_source`] holds its worked
+//! example). One implementation of each strategy serves both. [`null_keys`] composes matching for entities
+//! without a valid blocking key; [`multipass`] implements the paper's
+//! future-work multi-pass blocking; [`analysis`] computes exact
 //! per-task workloads straight from the BDM (no execution) for the
 //! paper-scale experiments; [`driver`] wires everything together.
 
@@ -39,6 +42,7 @@ pub mod keys;
 pub mod multipass;
 pub mod null_keys;
 pub mod pair_range;
+pub mod pair_space;
 pub mod running_example;
 pub mod stats;
 pub mod two_source;
@@ -50,10 +54,10 @@ use er_core::Entity;
 
 pub use analysis::{analyze, StrategyWorkload};
 pub use bdm::BlockDistributionMatrix;
-pub use driver::{run_er, run_er_in, ErConfig, ErOutcome, ErStages};
+pub use driver::{run_er, run_er_in, run_linkage, ErConfig, ErOutcome, ErStages};
 pub use pair_range::ranges::RangePolicy;
+pub use pair_space::PairSpace;
 pub use stats::WorkloadStats;
-pub use two_source::{run_linkage, run_linkage_in};
 
 /// Counter name used by every strategy's reducer for the number of
 /// pair comparisons it performed — the workload unit the paper's load

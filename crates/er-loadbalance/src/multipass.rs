@@ -20,7 +20,7 @@
 //! are tracked explicitly under
 //! [`crate::compare::MULTIPASS_SKIPPED`]. Folding the dedup rule into
 //! the *planning* stage is an open problem the paper leaves to future
-//! work; see `EXPERIMENTS.md` for the ablation quantifying the skew.
+//! work.
 
 use std::sync::Arc;
 

@@ -20,8 +20,7 @@ use er_core::{MatchResult, SourceId};
 use mr_engine::error::MrError;
 use mr_engine::input::Partitions;
 
-use crate::driver::{run_er, ErConfig};
-use crate::two_source::run_linkage;
+use crate::driver::{run_er, run_linkage, ErConfig};
 use crate::Ent;
 
 /// Input split by blocking-key validity, preserving partition shape.

@@ -1,18 +1,16 @@
 //! Global entity and pair enumeration (paper Section V, Figure 6).
 //!
 //! Entity indexes: each map task enumerates the entities of its
-//! partition per block; the BDM supplies the count of same-block
-//! entities in *preceding* partitions as the starting offset, so local
-//! enumeration yields globally consistent indexes without any
-//! communication.
+//! partition per block; the pair space supplies the count of
+//! same-block (and, for linkage, same-source) entities in *preceding*
+//! partitions as the starting offset, so local enumeration yields
+//! globally consistent indexes without any communication.
 //!
-//! Pair indexes: `p_i(x, y) = c(x, y, |Φ_i|) + o(i)` with the
-//! column-wise triangle cell index `c` from [`er_core::pairs`] and the
-//! block offset `o` from the BDM.
+//! Pair indexes: [`PairSpace::pair_index`], `p_i(x, y) = c(x, y) + o(i)`
+//! with the block's triangle or rectangle cell index `c` and the block
+//! offset `o`.
 
-use er_core::pairs::triangle_cell_index;
-
-use crate::bdm::BlockDistributionMatrix;
+use crate::pair_space::PairSpace;
 
 /// Per-map-task entity index tracker (Algorithm 2, lines 4–8 & 26).
 #[derive(Debug, Clone)]
@@ -23,10 +21,10 @@ pub struct EntityIndexer {
 impl EntityIndexer {
     /// Initializes the tracker for a map task reading `partition`:
     /// each block's counter starts at the number of its entities in
-    /// earlier partitions.
-    pub fn for_partition(bdm: &BlockDistributionMatrix, partition: usize) -> Self {
-        let next_index = (0..bdm.num_blocks())
-            .map(|k| bdm.entity_index_offset(k, partition))
+    /// earlier partitions (of the same source).
+    pub fn for_partition(space: &PairSpace, partition: usize) -> Self {
+        let next_index = (0..space.num_blocks())
+            .map(|k| space.entity_index_offset(k, partition))
             .collect();
         Self { next_index }
     }
@@ -44,24 +42,24 @@ impl EntityIndexer {
     }
 }
 
-/// The global pair index `p_i(x, y)` of entities with indexes `x < y`
-/// in block `i`.
-pub fn pair_index(bdm: &BlockDistributionMatrix, block: usize, x: u64, y: u64) -> u64 {
-    triangle_cell_index(x, y, bdm.size(block)) + bdm.pair_offset(block)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bdm::running_example_bdm;
+    use crate::pair_space::BlockPairs;
+    use crate::two_source::appendix_example;
+    use std::sync::Arc;
+
+    fn space() -> PairSpace {
+        PairSpace::dedup(Arc::new(running_example_bdm()))
+    }
 
     #[test]
     fn entity_m_gets_index_2() {
         // M is the first z-entity (block 3) of partition 1; two
         // z-entities live in partition 0 (paper: "M is the third
         // entity of Φ3 and is thus assigned entity index 2").
-        let bdm = running_example_bdm();
-        let mut indexer = EntityIndexer::for_partition(&bdm, 1);
+        let mut indexer = EntityIndexer::for_partition(&space(), 1);
         assert_eq!(indexer.next(3), 2); // M
         assert_eq!(indexer.next(3), 3); // N
         assert_eq!(indexer.next(3), 4); // O
@@ -69,8 +67,7 @@ mod tests {
 
     #[test]
     fn partition_zero_starts_at_zero() {
-        let bdm = running_example_bdm();
-        let mut indexer = EntityIndexer::for_partition(&bdm, 0);
+        let mut indexer = EntityIndexer::for_partition(&space(), 0);
         for k in 0..4 {
             assert_eq!(indexer.peek(k), 0);
         }
@@ -80,37 +77,44 @@ mod tests {
 
     #[test]
     fn figure6_pair_indexes() {
-        let bdm = running_example_bdm();
+        let space = space();
         // Block Φ0 (w, size 4): "the index for pair (2,3) equals 5".
-        assert_eq!(pair_index(&bdm, 0, 2, 3), 5);
+        assert_eq!(space.pair_index(0, 2, 3), 5);
         // Block Φ1 (x, size 2): its single pair is #6.
-        assert_eq!(pair_index(&bdm, 1, 0, 1), 6);
+        assert_eq!(space.pair_index(1, 0, 1), 6);
         // Block Φ2 (y, size 3): pairs 7..=9.
-        assert_eq!(pair_index(&bdm, 2, 0, 1), 7);
-        assert_eq!(pair_index(&bdm, 2, 1, 2), 9);
+        assert_eq!(space.pair_index(2, 0, 1), 7);
+        assert_eq!(space.pair_index(2, 1, 2), 9);
         // Block Φ3 (z, size 5): M (index 2) takes part in pairs 11,
         // 14, 17, 18 (paper Section V).
-        assert_eq!(pair_index(&bdm, 3, 0, 2), 11);
-        assert_eq!(pair_index(&bdm, 3, 1, 2), 14);
-        assert_eq!(pair_index(&bdm, 3, 2, 3), 17);
-        assert_eq!(pair_index(&bdm, 3, 2, 4), 18);
+        assert_eq!(space.pair_index(3, 0, 2), 11);
+        assert_eq!(space.pair_index(3, 1, 2), 14);
+        assert_eq!(space.pair_index(3, 2, 3), 17);
+        assert_eq!(space.pair_index(3, 2, 4), 18);
         // pmin/pmax of M: 11 and 18 (paper).
     }
 
     #[test]
     fn pair_enumeration_is_a_bijection_over_all_blocks() {
-        let bdm = running_example_bdm();
-        let mut seen = vec![false; bdm.total_pairs() as usize];
-        for k in 0..bdm.num_blocks() {
-            let n = bdm.size(k);
-            for x in 0..n {
-                for y in (x + 1)..n {
-                    let p = pair_index(&bdm, k, x, y) as usize;
+        // The running example's triangles and the appendix's rectangles.
+        for space in [space(), appendix_example::pair_space()] {
+            let mut seen = vec![false; space.total_pairs() as usize];
+            for k in 0..space.num_blocks() {
+                let cells: Vec<(u64, u64)> = match space.block(k) {
+                    BlockPairs::Triangle { n } => (0..n)
+                        .flat_map(|x| ((x + 1)..n).map(move |y| (x, y)))
+                        .collect(),
+                    BlockPairs::Rectangle { r, s } => {
+                        (0..r).flat_map(|x| (0..s).map(move |y| (x, y))).collect()
+                    }
+                };
+                for (x, y) in cells {
+                    let p = space.pair_index(k, x, y) as usize;
                     assert!(!seen[p], "pair index {p} assigned twice");
                     seen[p] = true;
                 }
             }
+            assert!(seen.iter().all(|&s| s), "pair index space has gaps");
         }
-        assert!(seen.iter().all(|&s| s), "pair index space has gaps");
     }
 }

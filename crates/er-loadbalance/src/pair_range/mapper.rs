@@ -1,7 +1,9 @@
-//! PairRange map function (Algorithm 2, lines 1–26).
+//! PairRange map function (Algorithm 2, lines 1–26; Appendix I-B for
+//! two sources).
 //!
 //! For each entity the mapper determines its global entity index `x`
-//! and every range that contains at least one of its pairs:
+//! and every range that contains at least one of its pairs. In a
+//! triangle (dedup):
 //!
 //! * the *column run* `(x, x+1) … (x, N−1)` is contiguous in the pair
 //!   index space, so all ranges from `range(p(x, x+1))` through
@@ -12,24 +14,29 @@
 //!   would insert raw loop counters instead of range indexes, which
 //!   contradicts both the prose and the worked example, so we compute
 //!   `rangeIndex(k, x, N, i)` as intended.
+//!
+//! In a rectangle (linkage) an R entity's pairs form one contiguous run
+//! (its whole matrix row) and an S entity's pairs stride by `N_S` (its
+//! matrix column).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use er_core::blocking::BlockKey;
+use er_core::pairs::{rect_cell_index, triangle_cell_index};
 use er_core::SourceId;
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 
-use super::enumeration::{pair_index, EntityIndexer};
+use super::enumeration::EntityIndexer;
 use super::ranges::{RangeIndexer, RangePolicy};
-use crate::bdm::BlockDistributionMatrix;
 use crate::keys::{PairRangeKey, PairRangeValue};
+use crate::pair_space::{BlockPairs, PairSpace};
 use crate::Keyed;
 
 /// The PairRange mapper.
 #[derive(Clone)]
 pub struct PairRangeMapper {
-    bdm: Arc<BlockDistributionMatrix>,
+    space: Arc<PairSpace>,
     policy: RangePolicy,
     state: Option<MapState>,
 }
@@ -38,13 +45,14 @@ pub struct PairRangeMapper {
 struct MapState {
     indexer: EntityIndexer,
     ranges: RangeIndexer,
+    source: SourceId,
 }
 
 impl PairRangeMapper {
-    /// Creates the mapper over a computed BDM.
-    pub fn new(bdm: Arc<BlockDistributionMatrix>, policy: RangePolicy) -> Self {
+    /// Creates the mapper over a pair space.
+    pub fn new(space: Arc<PairSpace>, policy: RangePolicy) -> Self {
         Self {
-            bdm,
+            space,
             policy,
             state: None,
         }
@@ -52,27 +60,45 @@ impl PairRangeMapper {
 }
 
 /// Computes the set of ranges relevant for the entity with index `x`
-/// in `block` (shared by the mapper and the analytic workload model).
+/// of `source` in `block` (shared by the mapper and the analytic
+/// workload model; `source` matters for linkage only).
 pub fn relevant_ranges(
-    bdm: &BlockDistributionMatrix,
+    space: &PairSpace,
     ranges: &RangeIndexer,
     block: usize,
+    source: SourceId,
     x: u64,
 ) -> BTreeSet<u64> {
-    let n = bdm.size(block);
+    let offset = space.pair_offset(block);
+    let range = |cell: u64| ranges.range_of(cell + offset);
     let mut out = BTreeSet::new();
-    if n < 2 {
-        return out;
-    }
-    // Row pairs (k, x) for k < x — scattered, one per column.
-    for k in 0..x {
-        out.insert(ranges.range_of(pair_index(bdm, block, k, x)));
-    }
-    // Column run (x, x+1) … (x, N−1) — contiguous.
-    if x + 1 < n {
-        let first = ranges.range_of(pair_index(bdm, block, x, x + 1));
-        let last = ranges.range_of(pair_index(bdm, block, x, n - 1));
-        out.extend(first..=last);
+    match space.block(block) {
+        BlockPairs::Triangle { n } if n >= 2 => {
+            // Row pairs (k, x) for k < x — scattered, one per column.
+            for k in 0..x {
+                out.insert(range(triangle_cell_index(k, x, n)));
+            }
+            // Column run (x, x+1) … (x, N−1) — contiguous.
+            if x + 1 < n {
+                let first = range(triangle_cell_index(x, x + 1, n));
+                let last = range(triangle_cell_index(x, n - 1, n));
+                out.extend(first..=last);
+            }
+        }
+        BlockPairs::Rectangle { r, s } if r > 0 && s > 0 => {
+            if source == SourceId::R {
+                // Row (x, 0) … (x, N_S−1) — contiguous.
+                let first = range(rect_cell_index(x, 0, s));
+                let last = range(rect_cell_index(x, s - 1, s));
+                out.extend(first..=last);
+            } else {
+                // Column (0, x) … (N_R−1, x) — stride N_S.
+                for row in 0..r {
+                    out.insert(range(rect_cell_index(row, x, s)));
+                }
+            }
+        }
+        _ => {}
     }
     out
 }
@@ -86,8 +112,9 @@ impl Mapper for PairRangeMapper {
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.state = Some(MapState {
-            indexer: EntityIndexer::for_partition(&self.bdm, info.task_index),
-            ranges: RangeIndexer::new(self.bdm.total_pairs(), info.num_reduce_tasks, self.policy),
+            indexer: EntityIndexer::for_partition(&self.space, info.task_index),
+            ranges: RangeIndexer::new(self.space.total_pairs(), info.num_reduce_tasks, self.policy),
+            source: self.space.source_of(info.task_index),
         });
     }
 
@@ -98,16 +125,16 @@ impl Mapper for PairRangeMapper {
         ctx: &mut MapContext<PairRangeKey, PairRangeValue, ()>,
     ) {
         let state = self.state.as_mut().expect("setup ran");
-        let Some(block) = self.bdm.block_index(key) else {
+        let Some(block) = self.space.block_index(key) else {
             panic!("blocking key {key} not present in the BDM");
         };
         let x = state.indexer.next(block);
-        for range in relevant_ranges(&self.bdm, &state.ranges, block, x) {
+        for range in relevant_ranges(&self.space, &state.ranges, block, state.source, x) {
             ctx.emit(
                 PairRangeKey {
                     range: range as u32,
                     block: block as u32,
-                    source: SourceId::R,
+                    source: state.source,
                     index: x,
                 },
                 PairRangeValue {
@@ -125,9 +152,12 @@ mod tests {
     use crate::bdm::running_example_bdm;
     use crate::running_example;
 
+    fn space() -> PairSpace {
+        PairSpace::dedup(Arc::new(running_example_bdm()))
+    }
+
     fn run_partition(p: usize) -> Vec<(PairRangeKey, String)> {
-        let bdm = Arc::new(running_example_bdm());
-        let mut mapper = PairRangeMapper::new(bdm, RangePolicy::CeilDiv);
+        let mut mapper = PairRangeMapper::new(Arc::new(space()), RangePolicy::CeilDiv);
         let info = MapTaskInfo {
             task_index: p,
             num_map_tasks: 2,
@@ -205,16 +235,16 @@ mod tests {
         // Union over entities of {entity} × relevant_ranges must cover
         // each range's pairs: for every pair (x, y), both x and y are
         // sent to the pair's range.
-        let bdm = running_example_bdm();
+        let space = space();
         for r in [1usize, 2, 3, 5, 20] {
-            let ranges = RangeIndexer::new(bdm.total_pairs(), r, RangePolicy::CeilDiv);
-            for block in 0..bdm.num_blocks() {
-                let n = bdm.size(block);
+            let ranges = RangeIndexer::new(space.total_pairs(), r, RangePolicy::CeilDiv);
+            for block in 0..space.num_blocks() {
+                let n = space.bdm().size(block);
                 for x in 0..n {
                     for y in (x + 1)..n {
-                        let range = ranges.range_of(pair_index(&bdm, block, x, y));
-                        let rx = relevant_ranges(&bdm, &ranges, block, x);
-                        let ry = relevant_ranges(&bdm, &ranges, block, y);
+                        let range = ranges.range_of(space.pair_index(block, x, y));
+                        let rx = relevant_ranges(&space, &ranges, block, SourceId::R, x);
+                        let ry = relevant_ranges(&space, &ranges, block, SourceId::R, y);
                         assert!(rx.contains(&range), "x={x} y={y} r={r}");
                         assert!(ry.contains(&range), "x={x} y={y} r={r}");
                     }

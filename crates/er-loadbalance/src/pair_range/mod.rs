@@ -8,6 +8,9 @@
 //! ranges that contain at least one of its pairs; the reduce phase
 //! regenerates pair indexes from the entity indexes travelling in the
 //! composite keys and evaluates exactly the pairs of its own range.
+//!
+//! Linkage (Appendix I-B) enumerates the `|Φ_k,R| × |Φ_k,S|` rectangle
+//! of each block instead of its triangle; see [`PairSpace`].
 
 pub mod enumeration;
 pub mod mapper;
@@ -16,20 +19,18 @@ pub mod reducer;
 
 use std::sync::Arc;
 
-use er_core::blocking::BlockKey;
 use mr_engine::engine::Job;
-use mr_engine::prelude::Partitions;
 
-use crate::bdm::BlockDistributionMatrix;
 use crate::compare::PairComparer;
 use crate::keys::PairRangeKey;
+use crate::pair_space::PairSpace;
 
 pub use ranges::{RangeIndexer, RangePolicy};
 
 /// Builds the PairRange matching job over the BDM job's annotated side
-/// output.
+/// output, ranging over `space`.
 pub fn pair_range_job(
-    bdm: Arc<BlockDistributionMatrix>,
+    space: Arc<PairSpace>,
     comparer: PairComparer,
     policy: RangePolicy,
     reduce_tasks: usize,
@@ -37,28 +38,12 @@ pub fn pair_range_job(
 ) -> Job<mapper::PairRangeMapper, reducer::PairRangeReducer> {
     Job::builder(
         "er-pair-range",
-        mapper::PairRangeMapper::new(Arc::clone(&bdm), policy),
-        reducer::PairRangeReducer::new(bdm, comparer, policy),
+        mapper::PairRangeMapper::new(Arc::clone(&space), policy),
+        reducer::PairRangeReducer::new(space, comparer, policy),
     )
     .reduce_tasks(reduce_tasks)
     .parallelism(parallelism)
     .partitioner(PairRangeKey::partitioner())
     .group_by(PairRangeKey::group_cmp())
     .build()
-}
-
-/// Convenience used by tests and benches: run PairRange end to end on
-/// already-annotated input.
-pub fn run_pair_range(
-    annotated: Partitions<BlockKey, crate::Keyed>,
-    bdm: Arc<BlockDistributionMatrix>,
-    comparer: PairComparer,
-    policy: RangePolicy,
-    reduce_tasks: usize,
-    parallelism: usize,
-) -> Result<
-    mr_engine::engine::JobOutput<er_core::result::MatchPair, f64, ()>,
-    mr_engine::error::MrError,
-> {
-    pair_range_job(bdm, comparer, policy, reduce_tasks, parallelism).run(annotated)
 }

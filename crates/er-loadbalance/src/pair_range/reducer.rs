@@ -1,15 +1,19 @@
-//! PairRange reduce function (Algorithm 2, lines 27–42).
+//! PairRange reduce function (Algorithm 2, lines 27–42; Appendix I-B
+//! for two sources).
 //!
 //! One reduce group == all entities of one block relevant to this
-//! task's range, sorted by entity index. Streaming entity `e2` with
-//! index `x2`, the reducer pairs it against every buffered `e1` with
-//! `x1 < x2`, computes the pair's range and evaluates it only when it
-//! belongs to this task.
+//! task's range, sorted by (source, entity index). In a triangle,
+//! streaming entity `e2` with index `x2`, the reducer pairs it against
+//! every buffered `e1` with `x1 < x2`, computes the pair's range and
+//! evaluates it only when it belongs to this task. In a rectangle the
+//! R entities arrive first and are buffered; every streamed S entity is
+//! paired against them.
 //!
 //! The listing's early exit reads `else if k > r then return` —
 //! aborting the whole group. That is correct only *per stream
-//! element*: pair indexes grow monotonically in `x1` for fixed `x2`
-//! (column-wise enumeration), so once a pair overshoots the range, all
+//! element*: pair indexes grow monotonically in the buffer coordinate
+//! for a fixed stream element (column-wise enumeration in a triangle,
+//! row-wise in a rectangle), so once a pair overshoots the range, all
 //! later *buffer* entries overshoot too — but the **next** stream
 //! element may still own in-range pairs in column 0 (e.g. range 0 of a
 //! large block: pair (1, x2) overshoots while (0, x2+1) is still in
@@ -19,20 +23,20 @@
 
 use std::sync::Arc;
 
+use er_core::pairs::{rect_cell_index, triangle_cell_index};
 use er_core::result::MatchPair;
-use er_core::MatcherCache;
+use er_core::{MatcherCache, SourceId};
 use mr_engine::reducer::{Group, ReduceContext, Reducer};
 
-use super::enumeration::pair_index;
 use super::ranges::{RangeIndexer, RangePolicy};
-use crate::bdm::BlockDistributionMatrix;
 use crate::compare::{PairComparer, PreparedRef};
 use crate::keys::{PairRangeKey, PairRangeValue};
+use crate::pair_space::{BlockPairs, PairSpace};
 
 /// The PairRange reducer.
 #[derive(Clone)]
 pub struct PairRangeReducer {
-    bdm: Arc<BlockDistributionMatrix>,
+    space: Arc<PairSpace>,
     comparer: PairComparer,
     policy: RangePolicy,
     ranges: Option<RangeIndexer>,
@@ -40,15 +44,11 @@ pub struct PairRangeReducer {
 }
 
 impl PairRangeReducer {
-    /// Creates the reducer over the shared BDM.
-    pub fn new(
-        bdm: Arc<BlockDistributionMatrix>,
-        comparer: PairComparer,
-        policy: RangePolicy,
-    ) -> Self {
+    /// Creates the reducer over the shared pair space.
+    pub fn new(space: Arc<PairSpace>, comparer: PairComparer, policy: RangePolicy) -> Self {
         let cache = comparer.new_cache();
         Self {
-            bdm,
+            space,
             comparer,
             policy,
             ranges: None,
@@ -65,7 +65,7 @@ impl Reducer for PairRangeReducer {
 
     fn setup(&mut self, info: &mr_engine::reducer::ReduceTaskInfo) {
         self.ranges = Some(RangeIndexer::new(
-            self.bdm.total_pairs(),
+            self.space.total_pairs(),
             info.num_reduce_tasks,
             self.policy,
         ));
@@ -80,29 +80,64 @@ impl Reducer for PairRangeReducer {
         let key = *group.key();
         let block = key.block as usize;
         let my_range = key.range as u64;
-        let block_key = group
+        let offset = self.space.pair_offset(block);
+        let block_key = &group
             .values()
             .next()
             .expect("groups are non-empty")
             .keyed
-            .key
-            .clone();
+            .key;
         let mut buffer: Vec<(u64, PreparedRef<'_>)> = Vec::with_capacity(group.len());
-        for e2 in group.values() {
-            let prepared2 = self.comparer.prepare_cached(&mut self.cache, &e2.keyed);
-            for (index1, e1) in &buffer {
-                debug_assert!(*index1 < e2.index, "sorted by entity index");
-                let k = ranges.range_of(pair_index(&self.bdm, block, *index1, e2.index));
-                if k == my_range {
-                    self.comparer
-                        .compare_prepared(&self.cache, e1, &prepared2, &block_key, ctx);
-                } else if k > my_range {
-                    // Monotone in the buffer coordinate: nothing later
-                    // in the buffer can still belong to this range.
-                    break;
+        match self.space.block(block) {
+            BlockPairs::Triangle { n } => {
+                for e2 in group.values() {
+                    let prepared2 = self.comparer.prepare_cached(&mut self.cache, &e2.keyed);
+                    for (index1, e1) in &buffer {
+                        debug_assert!(*index1 < e2.index, "sorted by entity index");
+                        let p = triangle_cell_index(*index1, e2.index, n) + offset;
+                        let k = ranges.range_of(p);
+                        if k == my_range {
+                            self.comparer.compare_prepared(
+                                &self.cache,
+                                e1,
+                                &prepared2,
+                                block_key,
+                                ctx,
+                            );
+                        } else if k > my_range {
+                            // Monotone in the buffer coordinate: nothing
+                            // later in the buffer can still belong to
+                            // this range.
+                            break;
+                        }
+                    }
+                    buffer.push((e2.index, prepared2));
                 }
             }
-            buffer.push((e2.index, prepared2));
+            BlockPairs::Rectangle { s, .. } => {
+                for (key, value) in group.iter() {
+                    let prepared = self.comparer.prepare_cached(&mut self.cache, &value.keyed);
+                    if key.source == SourceId::R {
+                        buffer.push((value.index, prepared));
+                        continue;
+                    }
+                    for (index1, e1) in &buffer {
+                        let p = rect_cell_index(*index1, value.index, s) + offset;
+                        let k = ranges.range_of(p);
+                        if k == my_range {
+                            self.comparer.compare_prepared(
+                                &self.cache,
+                                e1,
+                                &prepared,
+                                block_key,
+                                ctx,
+                            );
+                        } else if k > my_range {
+                            break;
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -113,7 +148,7 @@ mod tests {
     use crate::keys::PairRangeValue;
     use crate::{Keyed, COMPARISONS};
     use er_core::blocking::BlockKey;
-    use er_core::{Entity, Matcher, SourceId};
+    use er_core::{Entity, Matcher};
     use mr_engine::reducer::ReduceTaskInfo;
 
     fn entry(range: u32, block: u32, index: u64) -> (PairRangeKey, PairRangeValue) {
@@ -136,7 +171,9 @@ mod tests {
 
     fn reducer() -> PairRangeReducer {
         PairRangeReducer::new(
-            Arc::new(crate::bdm::running_example_bdm()),
+            Arc::new(PairSpace::dedup(
+                Arc::new(crate::bdm::running_example_bdm()),
+            )),
             PairComparer::count_only(Arc::new(Matcher::paper_default())),
             RangePolicy::CeilDiv,
         )
@@ -193,9 +230,9 @@ mod tests {
             let members: Vec<u64> = (0..5)
                 .filter(|&i| {
                     // Replicate the mapper's membership decision.
-                    let bdm = crate::bdm::running_example_bdm();
+                    let space = PairSpace::dedup(Arc::new(crate::bdm::running_example_bdm()));
                     let ranges = RangeIndexer::new(20, 3, RangePolicy::CeilDiv);
-                    super::super::mapper::relevant_ranges(&bdm, &ranges, 3, i)
+                    super::super::mapper::relevant_ranges(&space, &ranges, 3, SourceId::R, i)
                         .contains(&(range as u64))
                 })
                 .collect();

@@ -59,7 +59,12 @@ pub fn entity_partitions() -> Partitions<(), Ent> {
 /// Blocking-key-annotated partitions (input of the matching job — what
 /// the BDM job's side output produces for this data).
 pub fn annotated_partitions() -> Partitions<BlockKey, Keyed> {
-    entity_partitions()
+    annotate(entity_partitions())
+}
+
+/// Keys every entity by the first letter of its title.
+pub(crate) fn annotate(parts: Partitions<(), Ent>) -> Partitions<BlockKey, Keyed> {
+    parts
         .into_iter()
         .map(|part| {
             part.into_iter()

@@ -3,316 +3,16 @@
 //! Each input partition holds entities of exactly one source (the
 //! paper ensures this via Hadoop's `MultipleInputs`; here the caller
 //! passes a side tag per partition). The BDM job is unchanged — the
-//! partition index identifies the source — and the strategies restrict
-//! comparisons to cross-source pairs:
+//! partition index identifies the source — and Basic, BlockSplit and
+//! PairRange run unchanged over the BDM read as a rectangle
+//! [`PairSpace`]: each block's pairs are its `|Φ_k,R| × |Φ_k,S|`
+//! cross-source pairs. Linkage runs through [`crate::run_linkage`] or
+//! [`crate::driver::run_er_in`] with source tags.
 //!
-//! * block pair count becomes `|Φ_k,R| · |Φ_k,S|`,
-//! * BlockSplit's split tasks pair an R partition with an S partition,
-//! * PairRange enumerates the full `|Φ_k,R| × |Φ_k,S|` rectangle with
-//!   `c(x, y, N_S) = x·N_S + y` and `o(i) = Σ |Φ_k,R|·|Φ_k,S|` (the
-//!   paper's extra "−1" in `o(i)` is a typo: it would give the first
-//!   pair index −1 and contradicts the worked example — see the tests
-//!   pinning entity C's ranges).
+//! This module holds the appendix's worked example and pins its numbers
+//! on every strategy.
 
-pub mod basic;
-pub mod block_split;
-pub mod pair_range;
-
-use std::sync::Arc;
-
-use er_core::blocking::BlockKey;
-use er_core::pairs::rect_cell_index;
-use er_core::{MatchResult, SourceId};
-use mr_engine::error::MrError;
-use mr_engine::input::Partitions;
-
-use mr_engine::workflow::{StageGraph, Workflow};
-
-use crate::bdm::BlockDistributionMatrix;
-use crate::bdm_job::compute_bdm_in;
-use crate::driver::{ErConfig, ErOutcome};
-use crate::{Ent, StrategyKind};
-
-/// A BDM interpreted for two sources: per-partition counts plus the
-/// partition→source mapping.
-#[derive(Debug, Clone)]
-pub struct TwoSourceBdm {
-    bdm: Arc<BlockDistributionMatrix>,
-    sources: Arc<Vec<SourceId>>,
-    size_r: Vec<u64>,
-    size_s: Vec<u64>,
-    pair_offsets: Vec<u64>,
-}
-
-impl TwoSourceBdm {
-    /// Wraps a BDM with the source tag of each input partition.
-    ///
-    /// # Panics
-    /// If `sources.len()` differs from the BDM's partition count or a
-    /// tag other than `R`/`S` appears.
-    pub fn new(bdm: Arc<BlockDistributionMatrix>, sources: Vec<SourceId>) -> Self {
-        assert_eq!(
-            sources.len(),
-            bdm.num_partitions(),
-            "one source tag per input partition"
-        );
-        assert!(
-            sources
-                .iter()
-                .all(|&s| s == SourceId::R || s == SourceId::S),
-            "two-source matching knows only R and S"
-        );
-        let mut size_r = Vec::with_capacity(bdm.num_blocks());
-        let mut size_s = Vec::with_capacity(bdm.num_blocks());
-        for k in 0..bdm.num_blocks() {
-            let mut nr = 0;
-            let mut ns = 0;
-            for (p, &src) in sources.iter().enumerate() {
-                if src == SourceId::R {
-                    nr += bdm.size_in(k, p);
-                } else {
-                    ns += bdm.size_in(k, p);
-                }
-            }
-            size_r.push(nr);
-            size_s.push(ns);
-        }
-        let mut pair_offsets = Vec::with_capacity(bdm.num_blocks() + 1);
-        let mut acc = 0u64;
-        for k in 0..bdm.num_blocks() {
-            pair_offsets.push(acc);
-            acc += size_r[k] * size_s[k];
-        }
-        pair_offsets.push(acc);
-        Self {
-            bdm,
-            sources: Arc::new(sources),
-            size_r,
-            size_s,
-            pair_offsets,
-        }
-    }
-
-    /// The underlying one-source BDM.
-    pub fn bdm(&self) -> &BlockDistributionMatrix {
-        &self.bdm
-    }
-
-    /// Source of input partition `p`.
-    pub fn source_of(&self, p: usize) -> SourceId {
-        self.sources[p]
-    }
-
-    /// Number of blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.bdm.num_blocks()
-    }
-
-    /// Number of input partitions `m`.
-    pub fn num_partitions(&self) -> usize {
-        self.bdm.num_partitions()
-    }
-
-    /// Block index lookup.
-    pub fn block_index(&self, key: &BlockKey) -> Option<usize> {
-        self.bdm.block_index(key)
-    }
-
-    /// |Φ_k,R|.
-    pub fn size_r(&self, k: usize) -> u64 {
-        self.size_r[k]
-    }
-
-    /// |Φ_k,S|.
-    pub fn size_s(&self, k: usize) -> u64 {
-        self.size_s[k]
-    }
-
-    /// Entities of block `k` in partition `p`.
-    pub fn size_in(&self, k: usize, p: usize) -> u64 {
-        self.bdm.size_in(k, p)
-    }
-
-    /// Cross-source comparisons of block `k`.
-    pub fn pairs_in_block(&self, k: usize) -> u64 {
-        self.size_r[k] * self.size_s[k]
-    }
-
-    /// o(k): cross-source pairs in earlier blocks.
-    pub fn pair_offset(&self, k: usize) -> u64 {
-        self.pair_offsets[k]
-    }
-
-    /// Total cross-source pairs P.
-    pub fn total_pairs(&self) -> u64 {
-        *self.pair_offsets.last().expect("never empty")
-    }
-
-    /// Global pair index of `(x ∈ R, y ∈ S)` in block `k`.
-    pub fn pair_index(&self, k: usize, x: u64, y: u64) -> u64 {
-        rect_cell_index(x, y, self.size_s[k]) + self.pair_offsets[k]
-    }
-
-    /// Entity-index offset: same-source entities of block `k` in
-    /// partitions before `partition`.
-    pub fn entity_index_offset(&self, k: usize, partition: usize) -> u64 {
-        let src = self.sources[partition];
-        (0..partition)
-            .filter(|&q| self.sources[q] == src)
-            .map(|q| self.bdm.size_in(k, q))
-            .sum()
-    }
-}
-
-/// Executes the two-source linkage scenario (paper Appendix I) as
-/// stages of `workflow` — the scenario compiler both [`run_linkage`]
-/// and the facade crate's `Resolver` (via `Scenario::Linkage`) drive.
-///
-/// `sources[p]` tags input partition `p` as belonging to `R` or `S`;
-/// only cross-source pairs within shared blocks are compared.
-pub fn run_linkage_in(
-    workflow: &mut Workflow,
-    input: Partitions<(), Ent>,
-    sources: Vec<SourceId>,
-    config: &ErConfig,
-) -> Result<crate::driver::ErStages, MrError> {
-    use crate::driver::ErStages;
-    use std::cell::RefCell;
-    assert_eq!(
-        sources.len(),
-        input.len(),
-        "one source tag per input partition"
-    );
-    let comparer = config.comparer();
-    // The scenario compiles to a stage graph (Basic: one `match`
-    // node; BDM strategies: `bdm → match`) whose node bodies hand
-    // their task batches to the pool's shared ready-queue — see
-    // `run_er_in`, whose structure this mirrors for cross-source
-    // matching.
-    let stages = RefCell::new(None);
-    let products = RefCell::new(None);
-    let mut graph: StageGraph<'_, MrError> = StageGraph::new();
-    if config.strategy == StrategyKind::Basic {
-        graph.node("match", &[], |wf| {
-            let job = basic::basic_two_source_job(
-                Arc::clone(&config.blocking),
-                Arc::new(sources),
-                comparer,
-                config.reduce_tasks(),
-                config.parallelism(),
-            )
-            .with_spill_threshold(config.spill_threshold());
-            let out = wf.chained_stage(&job, input)?;
-            let mut result = MatchResult::new();
-            for (pair, score) in out.reduce_outputs.into_iter().flatten() {
-                result.insert(pair, score);
-            }
-            *stages.borrow_mut() = Some(ErStages {
-                result,
-                bdm: None,
-                bdm_metrics: None,
-                match_metrics: out.metrics,
-            });
-            Ok(())
-        });
-        graph.run(workflow)?;
-        return Ok(stages
-            .into_inner()
-            .expect("match node populates the outcome"));
-    }
-    let bdm_node = graph.node("bdm", &[], |wf| {
-        let (bdm, annotated, bdm_metrics) = compute_bdm_in(
-            wf,
-            input,
-            Arc::clone(&config.blocking),
-            config.reduce_tasks(),
-            config.parallelism(),
-            config.use_combiner,
-            config.spill_threshold(),
-        )?;
-        *products.borrow_mut() = Some((Arc::new(bdm), annotated, bdm_metrics));
-        Ok(())
-    });
-    graph.node("match", &[bdm_node], |wf| {
-        let (bdm, annotated, bdm_metrics) = products
-            .borrow_mut()
-            .take()
-            .expect("bdm node ran before match");
-        let ts = Arc::new(TwoSourceBdm::new(Arc::clone(&bdm), sources));
-        // The cross-source pair count is exact scheduling weight for
-        // shortest-remaining-work, like the single-source driver.
-        let weight = ts.total_pairs();
-        let out = match config.strategy {
-            StrategyKind::BlockSplit => {
-                let job = block_split::block_split_two_source_job(
-                    ts,
-                    comparer,
-                    config.reduce_tasks(),
-                    config.parallelism(),
-                )
-                .with_spill_threshold(config.spill_threshold())
-                .with_weight_hint(weight);
-                wf.chained_stage(&job, annotated)?
-            }
-            StrategyKind::PairRange => {
-                let job = pair_range::pair_range_two_source_job(
-                    ts,
-                    comparer,
-                    config.range_policy,
-                    config.reduce_tasks(),
-                    config.parallelism(),
-                )
-                .with_spill_threshold(config.spill_threshold())
-                .with_weight_hint(weight);
-                wf.chained_stage(&job, annotated)?
-            }
-            StrategyKind::Basic => unreachable!("handled above"),
-        };
-        let mut result = MatchResult::new();
-        for (pair, score) in out.reduce_outputs.into_iter().flatten() {
-            result.insert(pair, score);
-        }
-        *stages.borrow_mut() = Some(ErStages {
-            result,
-            bdm: Some(bdm),
-            bdm_metrics: Some(bdm_metrics),
-            match_metrics: out.metrics,
-        });
-        Ok(())
-    });
-    graph.run(workflow)?;
-    Ok(stages
-        .into_inner()
-        .expect("match node populates the outcome"))
-}
-
-/// Runs two-source entity resolution (record linkage): `sources[p]`
-/// tags input partition `p` as belonging to `R` or `S`; only
-/// cross-source pairs within shared blocks are compared.
-///
-/// # Deprecation path
-///
-/// A thin wrapper over [`run_linkage_in`] on a transient per-run
-/// [`Workflow`], kept for compatibility; new code should use the
-/// facade crate's `Runtime` + `Resolver` with `Scenario::Linkage`,
-/// which runs the identical stages on a persistent worker pool.
-pub fn run_linkage(
-    input: Partitions<(), Ent>,
-    sources: Vec<SourceId>,
-    config: &ErConfig,
-) -> Result<ErOutcome, MrError> {
-    let mut workflow = Workflow::new(format!("linkage-{}", config.strategy))
-        .with_fault_policy(config.fault_policy())
-        .with_fault_plan(config.fault_plan().clone());
-    let stages = run_linkage_in(&mut workflow, input, sources, config)?;
-    Ok(ErOutcome {
-        result: stages.result,
-        bdm: stages.bdm,
-        bdm_metrics: stages.bdm_metrics,
-        match_metrics: stages.match_metrics,
-        workflow: workflow.finish(),
-    })
-}
+use crate::pair_space::PairSpace;
 
 /// The appendix running example (Figure 15a): 13 entities A–N over
 /// blocks w, x, y, z; source R in partition Π0, source S in Π1 and Π2.
@@ -322,10 +22,15 @@ pub fn run_linkage(
 /// block order our indexes are w=0, x=1, y=2, z=3 (the paper's figure
 /// orders x and y differently; the structure is identical).
 pub mod appendix_example {
-    use super::*;
-    use er_core::Entity;
+    use std::sync::Arc;
+
+    use er_core::blocking::BlockKey;
+    use er_core::{Entity, SourceId};
     use mr_engine::input::Partitions;
 
+    use super::PairSpace;
+    use crate::bdm::BlockDistributionMatrix;
+    use crate::running_example::annotate;
     use crate::{Ent, Keyed};
 
     /// `(name, blocking key, partition)`; partition 0 is R, 1–2 are S.
@@ -368,57 +73,59 @@ pub mod appendix_example {
 
     /// Annotated partitions (what the BDM job's side output yields).
     pub fn annotated_partitions() -> Partitions<BlockKey, Keyed> {
-        entity_partitions()
-            .into_iter()
-            .map(|part| {
-                part.into_iter()
-                    .map(|(_, entity)| {
-                        let key = BlockKey::new(&entity.get("title").unwrap()[..1]);
-                        (key.clone(), Keyed::single(key, entity))
-                    })
-                    .collect()
-            })
-            .collect()
+        annotate(entity_partitions())
     }
 
-    /// The example's two-source BDM.
-    pub fn bdm() -> TwoSourceBdm {
+    /// The example's rectangle pair space.
+    pub fn pair_space() -> PairSpace {
         let keys: Vec<Vec<BlockKey>> = annotated_partitions()
             .iter()
             .map(|p| p.iter().map(|(k, _)| k.clone()).collect())
             .collect();
-        TwoSourceBdm::new(
+        PairSpace::linkage(
             Arc::new(BlockDistributionMatrix::from_key_partitions(&keys)),
-            partition_sources(),
+            &partition_sources(),
         )
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::appendix_example;
     use super::*;
+    use crate::bdm::BlockDistributionMatrix;
+    use crate::pair_range::ranges::{RangeIndexer, RangePolicy};
+    use crate::pair_space::BlockPairs;
+    use er_core::SourceId;
 
     #[test]
     fn appendix_bdm_counts() {
-        let ts = appendix_example::bdm();
-        assert_eq!(ts.num_blocks(), 4);
+        let space = appendix_example::pair_space();
+        assert_eq!(space.num_blocks(), 4);
         // w=0, x=1, y=2, z=3 lexicographically.
-        assert_eq!((ts.size_r(0), ts.size_s(0)), (2, 2));
-        assert_eq!((ts.size_r(1), ts.size_s(1)), (1, 2));
-        assert_eq!((ts.size_r(2), ts.size_s(2)), (1, 0));
-        assert_eq!((ts.size_r(3), ts.size_s(3)), (2, 3));
-        assert_eq!(ts.total_pairs(), 12, "paper: 12 overall pairs");
-        assert_eq!(ts.pairs_in_block(2), 0, "block y has no S entities");
+        let sides: Vec<BlockPairs> = (0..4).map(|k| space.block(k)).collect();
+        assert_eq!(
+            sides,
+            vec![
+                BlockPairs::Rectangle { r: 2, s: 2 },
+                BlockPairs::Rectangle { r: 1, s: 2 },
+                BlockPairs::Rectangle { r: 1, s: 0 },
+                BlockPairs::Rectangle { r: 2, s: 3 },
+            ]
+        );
+        assert_eq!(space.total_pairs(), 12, "paper: 12 overall pairs");
+        assert_eq!(space.pairs_in_block(2), 0, "block y has no S entities");
     }
 
     #[test]
     fn pair_offsets_skip_empty_blocks() {
-        let ts = appendix_example::bdm();
-        assert_eq!(ts.pair_offset(0), 0);
-        assert_eq!(ts.pair_offset(1), 4);
-        assert_eq!(ts.pair_offset(2), 6);
-        assert_eq!(ts.pair_offset(3), 6, "y contributes nothing");
+        let space = appendix_example::pair_space();
+        assert_eq!(space.pair_offset(0), 0);
+        assert_eq!(space.pair_offset(1), 4);
+        assert_eq!(space.pair_offset(2), 6);
+        assert_eq!(space.pair_offset(3), 6, "y contributes nothing");
     }
 
     #[test]
@@ -428,14 +135,10 @@ mod tests {
         // belongs to ranges 1 and 2 — the paper's statement. (With the
         // paper's "−1" offset the pairs would be 5,6,7 -> ranges {1}
         // only, contradicting the example.)
-        let ts = appendix_example::bdm();
-        let pairs: Vec<u64> = (0..3).map(|y| ts.pair_index(3, 0, y)).collect();
+        let space = appendix_example::pair_space();
+        let pairs: Vec<u64> = (0..3).map(|y| space.pair_index(3, 0, y)).collect();
         assert_eq!(pairs, vec![6, 7, 8]);
-        let ranges = crate::pair_range::ranges::RangeIndexer::new(
-            12,
-            3,
-            crate::pair_range::ranges::RangePolicy::CeilDiv,
-        );
+        let ranges = RangeIndexer::new(12, 3, RangePolicy::CeilDiv);
         let hit: std::collections::BTreeSet<u64> =
             pairs.iter().map(|&p| ranges.range_of(p)).collect();
         assert_eq!(hit.into_iter().collect::<Vec<_>>(), vec![1, 2]);
@@ -443,34 +146,193 @@ mod tests {
 
     #[test]
     fn entity_index_offsets_respect_sources() {
-        let ts = appendix_example::bdm();
+        let space = appendix_example::pair_space();
         // K is the first z-entity of S (partition 1): offset 0 even
         // though R's partition 0 holds two z entities.
-        assert_eq!(ts.entity_index_offset(3, 1), 0);
+        assert_eq!(space.entity_index_offset(3, 1), 0);
         // N (partition 2) is preceded by 2 z-entities of S in Π1.
-        assert_eq!(ts.entity_index_offset(3, 2), 2);
+        assert_eq!(space.entity_index_offset(3, 2), 2);
     }
 
     #[test]
     #[should_panic(expected = "one source tag per input partition")]
     fn source_count_must_match_partitions() {
         let bdm = Arc::new(BlockDistributionMatrix::from_counts(2, vec![]));
-        let _ = TwoSourceBdm::new(bdm, vec![SourceId::R]);
+        let _ = PairSpace::linkage(bdm, &[SourceId::R]);
     }
+}
 
-    #[test]
-    fn pair_enumeration_is_a_bijection() {
-        let ts = appendix_example::bdm();
-        let mut seen = vec![false; ts.total_pairs() as usize];
-        for k in 0..ts.num_blocks() {
-            for x in 0..ts.size_r(k) {
-                for y in 0..ts.size_s(k) {
-                    let p = ts.pair_index(k, x, y) as usize;
-                    assert!(!seen[p]);
-                    seen[p] = true;
-                }
+/// Linkage on the unified strategy jobs, one module per strategy.
+#[cfg(test)]
+mod basic {
+    mod tests {
+        use std::sync::Arc;
+
+        use er_core::Matcher;
+        use mr_engine::metrics::JobMetrics;
+
+        use crate::basic::basic_job;
+        use crate::compare::PairComparer;
+        use crate::running_example::blocking;
+        use crate::two_source::appendix_example;
+        use crate::COMPARISONS;
+
+        fn run(r: usize) -> JobMetrics {
+            let job = basic_job(
+                blocking(),
+                Some(appendix_example::partition_sources().into()),
+                PairComparer::count_only(Arc::new(Matcher::paper_default())),
+                r,
+                1,
+            );
+            job.run(appendix_example::entity_partitions())
+                .unwrap()
+                .metrics
+        }
+
+        #[test]
+        fn computes_the_12_cross_pairs() {
+            assert_eq!(run(3).counters.get(COMPARISONS), 12);
+        }
+
+        #[test]
+        fn blocks_stay_whole() {
+            // Per-task loads must be sums of whole-block pair counts
+            // ({4, 2, 0, 6} here).
+            for load in run(5).per_reduce_counter(COMPARISONS) {
+                assert!(
+                    [0, 2, 4, 6, 8, 10, 12].contains(&load),
+                    "load {load} is not a sum of whole blocks"
+                );
             }
         }
-        assert!(seen.iter().all(|&s| s));
+    }
+}
+
+#[cfg(test)]
+mod block_split {
+    mod tests {
+        use std::sync::Arc;
+
+        use er_core::result::MatchPair;
+        use er_core::Matcher;
+        use mr_engine::engine::JobOutput;
+
+        use crate::block_split::{
+            block_split_job, create_match_tasks, SplitPolicy, TaskAssignment,
+        };
+        use crate::compare::PairComparer;
+        use crate::two_source::appendix_example;
+        use crate::COMPARISONS;
+
+        fn run(comparer: PairComparer) -> JobOutput<MatchPair, f64, ()> {
+            let space = Arc::new(appendix_example::pair_space());
+            let job = block_split_job(space, comparer, SplitPolicy::paper(), 3, 1);
+            job.run(appendix_example::annotated_partitions()).unwrap()
+        }
+
+        #[test]
+        fn appendix_match_tasks() {
+            // P = 12, r = 3 -> average 4. Block z (6 pairs) splits into
+            // 3.0x1 (2*2 = 4) and 3.0x2 (2*1 = 2); w (4) and x (2) stay
+            // whole; y has 0 pairs -> no task. (Paper: "0.* (4 pairs,
+            // reduce0), 3.0×1 (4 pairs, reduce1), 2.* (2 pairs, reduce2),
+            // 3.0×2 (2 pairs, reduce2)" — our x has block index 1.)
+            let tasks = create_match_tasks(&appendix_example::pair_space(), 3);
+            let as_tuples: Vec<(usize, usize, usize, u64)> = tasks
+                .iter()
+                .map(|t| (t.block, t.i, t.j, t.comparisons))
+                .collect();
+            assert_eq!(
+                as_tuples,
+                vec![(0, 0, 0, 4), (1, 0, 0, 2), (3, 0, 1, 4), (3, 0, 2, 2)]
+            );
+            let assignment = TaskAssignment::greedy(tasks, 3);
+            assert_eq!(assignment.reduce_task_for(0, 0, 0), Some(0));
+            assert_eq!(assignment.reduce_task_for(3, 0, 1), Some(1));
+            assert_eq!(assignment.reduce_task_for(1, 0, 0), Some(2));
+            assert_eq!(assignment.reduce_task_for(3, 0, 2), Some(2));
+            assert_eq!(assignment.loads(), &[4, 4, 4]);
+        }
+
+        #[test]
+        fn job_computes_exactly_the_12_cross_pairs() {
+            let out = run(PairComparer::count_only(Arc::new(Matcher::paper_default())));
+            assert_eq!(out.metrics.counters.get(COMPARISONS), 12);
+            let loads = out.metrics.per_reduce_counter(COMPARISONS);
+            assert_eq!(loads, vec![4, 4, 4]);
+        }
+
+        #[test]
+        fn no_same_source_comparisons() {
+            let out = run(PairComparer::new(Arc::new(Matcher::paper_default())));
+            for (pair, _) in out.records() {
+                assert_ne!(
+                    pair.lo().source,
+                    pair.hi().source,
+                    "two-source matching must only produce cross-source pairs"
+                );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod pair_range {
+    mod tests {
+        use std::sync::Arc;
+
+        use er_core::result::MatchPair;
+        use er_core::{Matcher, SourceId};
+        use mr_engine::engine::JobOutput;
+
+        use crate::compare::PairComparer;
+        use crate::pair_range::mapper::relevant_ranges;
+        use crate::pair_range::{pair_range_job, RangeIndexer, RangePolicy};
+        use crate::two_source::appendix_example;
+        use crate::COMPARISONS;
+
+        fn run(comparer: PairComparer) -> JobOutput<MatchPair, f64, ()> {
+            let space = Arc::new(appendix_example::pair_space());
+            let job = pair_range_job(space, comparer, RangePolicy::CeilDiv, 3, 1);
+            job.run(appendix_example::annotated_partitions()).unwrap()
+        }
+
+        #[test]
+        fn entity_c_is_sent_to_ranges_1_and_2() {
+            // Paper: "map emits two keys (1.3.R.0) and (2.3.R.0)" for C.
+            let space = appendix_example::pair_space();
+            let ranges = RangeIndexer::new(12, 3, RangePolicy::CeilDiv);
+            let hits = relevant_ranges(&space, &ranges, 3, SourceId::R, 0);
+            assert_eq!(hits.into_iter().collect::<Vec<_>>(), vec![1, 2]);
+        }
+
+        #[test]
+        fn empty_side_blocks_emit_nothing() {
+            // Block y (index 2) has no S entities: F must go nowhere.
+            let space = appendix_example::pair_space();
+            let ranges = RangeIndexer::new(12, 3, RangePolicy::CeilDiv);
+            let hits = relevant_ranges(&space, &ranges, 2, SourceId::R, 0);
+            assert!(hits.is_empty());
+        }
+
+        #[test]
+        fn job_computes_exactly_the_12_cross_pairs_evenly() {
+            let out = run(PairComparer::count_only(Arc::new(Matcher::paper_default())));
+            assert_eq!(out.metrics.counters.get(COMPARISONS), 12);
+            assert_eq!(
+                out.metrics.per_reduce_counter(COMPARISONS),
+                vec![4, 4, 4],
+                "paper: three ranges of size 4"
+            );
+        }
+
+        #[test]
+        fn results_are_cross_source_only() {
+            let out = run(PairComparer::new(Arc::new(Matcher::paper_default())));
+            for (pair, _) in out.records() {
+                assert_ne!(pair.lo().source, pair.hi().source);
+            }
+        }
     }
 }

@@ -25,17 +25,13 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use er_core::result::MatchPair;
-use er_core::{MatchResult, Matcher, MatcherCache, SourceId};
-use er_loadbalance::basic::basic_job;
+use er_core::{check_source_tags, MatchResult, Matcher, MatcherCache, SourceId};
 use er_loadbalance::bdm_job::compute_bdm_named_in;
-use er_loadbalance::block_split::{block_split_job_with_policy, SplitPolicy};
-use er_loadbalance::compare::PairComparer;
-use er_loadbalance::pair_range::pair_range_job;
-use er_loadbalance::two_source::{
-    basic::basic_two_source_job, block_split::block_split_two_source_job,
-    pair_range::pair_range_two_source_job, TwoSourceBdm,
+use er_loadbalance::block_split::SplitPolicy;
+use er_loadbalance::driver::{run_match_stage, MatchInput};
+use er_loadbalance::{
+    BlockDistributionMatrix, Ent, ErConfig, PairSpace, RangePolicy, StrategyKind,
 };
-use er_loadbalance::{BlockDistributionMatrix, Ent, RangePolicy, StrategyKind};
 use mr_engine::error::MrError;
 use mr_engine::fault::{FaultPlan, FaultPolicy};
 use mr_engine::input::Partitions;
@@ -284,13 +280,19 @@ impl LshConfig {
         LshBlocking::new(params, self.scheme, self.attribute.clone(), self.seed)
     }
 
-    fn comparer(&self) -> PairComparer {
-        let comparer = if self.count_only() {
-            PairComparer::count_only(Arc::clone(&self.matcher))
-        } else {
-            PairComparer::new(Arc::clone(&self.matcher))
-        };
-        comparer.with_cache_capacity(self.matcher_cache_capacity())
+    /// The candidate job's config under `params`: the rung's band keys
+    /// balanced by [`LshConfig::balance`].
+    fn match_config(&self, params: LshParams) -> ErConfig {
+        ErConfig {
+            blocking: Arc::new(self.blocking_for(params)),
+            matcher: Arc::clone(&self.matcher),
+            strategy: self.balance,
+            range_policy: self.range_policy,
+            use_combiner: self.use_combiner,
+            split_policy: self.split_policy,
+            runtime: self.runtime,
+            fault_plan: self.fault_plan.clone(),
+        }
     }
 }
 
@@ -417,11 +419,7 @@ pub fn run_lsh_in(
         "the ladder needs at least one rung"
     );
     if let Some(tags) = &sources {
-        assert_eq!(
-            tags.len(),
-            input.len(),
-            "one source tag per input partition"
-        );
+        check_source_tags(tags, input.len()).unwrap_or_else(|e| panic!("{e}"));
     }
     let rounds: RefCell<Vec<LshRound>> = RefCell::new(Vec::new());
     let accepted: RefCell<Option<Accepted>> = RefCell::new(None);
@@ -454,10 +452,8 @@ pub fn run_lsh_in(
                 config.spill_threshold(),
             )?;
             let bdm = Arc::new(bdm);
-            let candidate_pairs = match sources {
-                None => bdm.total_pairs(),
-                Some(tags) => TwoSourceBdm::new(Arc::clone(&bdm), tags.clone()).total_pairs(),
-            };
+            let candidate_pairs =
+                PairSpace::new(Arc::clone(&bdm), sources.as_deref()).total_pairs();
             let within_budget = config
                 .candidate_budget
                 .is_none_or(|budget| candidate_pairs <= budget);
@@ -493,80 +489,23 @@ pub fn run_lsh_in(
             .borrow_mut()
             .take()
             .expect("a signature round accepted a rung");
-        let comparer = config.comparer();
-        let r = config.reduce_tasks();
-        let p = config.parallelism();
-        let spill = config.spill_threshold();
-        let out = match sources {
-            None => match config.balance {
-                StrategyKind::Basic => {
-                    let job = basic_job(Arc::new(config.blocking_for(params)), comparer, r, p)
-                        .with_spill_threshold(spill)
-                        .with_weight_hint(bdm.total_pairs());
-                    wf.chained_stage(&job, input.clone())?
-                }
-                StrategyKind::BlockSplit => {
-                    let job = block_split_job_with_policy(
-                        Arc::clone(&bdm),
-                        comparer,
-                        config.split_policy,
-                        r,
-                        p,
-                    )
-                    .with_spill_threshold(spill)
-                    .with_weight_hint(bdm.total_pairs());
-                    wf.chained_stage(&job, annotated)?
-                }
-                StrategyKind::PairRange => {
-                    let job = pair_range_job(Arc::clone(&bdm), comparer, config.range_policy, r, p)
-                        .with_spill_threshold(spill)
-                        .with_weight_hint(bdm.total_pairs());
-                    wf.chained_stage(&job, annotated)?
-                }
+        let space = Arc::new(PairSpace::new(Arc::clone(&bdm), sources.as_deref()));
+        let input = match config.balance {
+            StrategyKind::Basic => MatchInput::Raw {
+                entities: input.clone(),
+                sources: sources.as_deref().map(Arc::from),
+                weight_hint: Some(space.total_pairs()),
             },
-            Some(tags) => {
-                let ts = Arc::new(TwoSourceBdm::new(Arc::clone(&bdm), tags.clone()));
-                let weight = ts.total_pairs();
-                match config.balance {
-                    StrategyKind::Basic => {
-                        let job = basic_two_source_job(
-                            Arc::new(config.blocking_for(params)),
-                            Arc::new(tags.clone()),
-                            comparer,
-                            r,
-                            p,
-                        )
-                        .with_spill_threshold(spill)
-                        .with_weight_hint(weight);
-                        wf.chained_stage(&job, input.clone())?
-                    }
-                    StrategyKind::BlockSplit => {
-                        let job = block_split_two_source_job(ts, comparer, r, p)
-                            .with_spill_threshold(spill)
-                            .with_weight_hint(weight);
-                        wf.chained_stage(&job, annotated)?
-                    }
-                    StrategyKind::PairRange => {
-                        let job =
-                            pair_range_two_source_job(ts, comparer, config.range_policy, r, p)
-                                .with_spill_threshold(spill)
-                                .with_weight_hint(weight);
-                        wf.chained_stage(&job, annotated)?
-                    }
-                }
-            }
+            _ => MatchInput::Planned { annotated, space },
         };
-        let mut result = MatchResult::new();
-        for (pair, score) in out.reduce_outputs.into_iter().flatten() {
-            result.insert(pair, score);
-        }
+        let (result, match_metrics) = run_match_stage(wf, &config.match_config(params), input)?;
         *stages.borrow_mut() = Some(LshStages {
             result,
             params,
             rounds: Vec::new(),
             bdm,
             bdm_metrics,
-            match_metrics: out.metrics,
+            match_metrics,
         });
         Ok(())
     });

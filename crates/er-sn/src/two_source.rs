@@ -1,8 +1,8 @@
 //! Two-source (R × S) Sorted Neighborhood: one interleaved sort
 //! order, cross-source window pairs only.
 //!
-//! The SN paper's record-linkage variant, mirroring
-//! [`er_loadbalance::two_source`]: both sources are annotated with the
+//! The SN paper's record-linkage variant, mirroring blocking-based
+//! linkage ([`er_loadbalance::PairSpace`]): both sources are annotated with the
 //! *same* sort-key function and interleaved into one total order by
 //! the regular distribution + window workflow — nothing about routing
 //! or boundary handling changes, because window membership is purely
@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use er_core::{MatchResult, MatcherCache, SourceId};
+use er_core::{check_source_tags, MatchResult, MatcherCache, SourceId};
 use er_loadbalance::Ent;
 use mr_engine::input::Partitions;
 use mr_engine::workflow::Workflow;
@@ -50,17 +50,7 @@ pub fn run_two_source_sn_in(
     sources: Vec<SourceId>,
     config: &SnConfig,
 ) -> Result<SnStages, SnError> {
-    assert_eq!(
-        sources.len(),
-        input.len(),
-        "one source tag per input partition"
-    );
-    assert!(
-        sources
-            .iter()
-            .all(|&s| s == SourceId::R || s == SourceId::S),
-        "two-source matching knows only R and S"
-    );
+    check_source_tags(&sources, input.len()).unwrap_or_else(|e| panic!("{e}"));
     for (partition, records) in input.iter().enumerate() {
         assert!(
             records

@@ -6,11 +6,13 @@
 //! cargo run --example paper_example
 //! ```
 
+use std::sync::Arc;
+
 use dedupe_mr::prelude::*;
 use er_loadbalance::bdm::running_example_bdm;
 use er_loadbalance::block_split::{create_match_tasks, TaskAssignment};
-use er_loadbalance::pair_range::enumeration::pair_index;
 use er_loadbalance::pair_range::ranges::RangeIndexer;
+use er_loadbalance::pair_space::{BlockPairs, PairSpace};
 use er_loadbalance::running_example;
 use er_loadbalance::two_source::appendix_example;
 
@@ -50,8 +52,8 @@ fn figure_3_and_4() {
 
 fn figure_5_block_split(resolver: &Resolver<'_>) {
     println!("== Figure 5: BlockSplit match tasks and assignment (r = 3) ==\n");
-    let bdm = running_example_bdm();
-    let tasks = create_match_tasks(&bdm, 3);
+    let space = PairSpace::dedup(Arc::new(running_example_bdm()));
+    let tasks = create_match_tasks(&space, 3);
     let assignment = TaskAssignment::greedy(tasks.clone(), 3);
     for t in &tasks {
         let rt = assignment.reduce_task_for(t.block, t.i, t.j).unwrap();
@@ -97,7 +99,8 @@ fn figure_5_block_split(resolver: &Resolver<'_>) {
 
 fn figures_6_and_7_pair_range(resolver: &Resolver<'_>) {
     println!("== Figures 6 & 7: PairRange enumeration and dataflow (r = 3) ==\n");
-    let bdm = running_example_bdm();
+    let space = PairSpace::dedup(Arc::new(running_example_bdm()));
+    let bdm = space.bdm();
     let ranges = RangeIndexer::new(
         bdm.total_pairs(),
         3,
@@ -123,7 +126,7 @@ fn figures_6_and_7_pair_range(resolver: &Resolver<'_>) {
     );
     let m_pairs: Vec<u64> = [(0u64, 2u64), (1, 2), (2, 3), (2, 4)]
         .iter()
-        .map(|&(x, y)| pair_index(&bdm, 3, x, y))
+        .map(|&(x, y)| space.pair_index(3, x, y))
         .collect();
     println!(
         "  entity M (index 2 of Φ3): pairs {m_pairs:?} -> ranges {:?} (paper: 11,14,17,18 -> R1,R2)",
@@ -151,18 +154,19 @@ fn figures_6_and_7_pair_range(resolver: &Resolver<'_>) {
 
 fn appendix_two_sources(resolver: &Resolver<'_>) {
     println!("== Appendix I (Figures 15-17): matching two sources ==\n");
-    let ts = appendix_example::bdm();
+    let space = appendix_example::pair_space();
     println!("  blocks (R-count x S-count -> pairs):");
-    for k in 0..ts.num_blocks() {
+    for k in 0..space.num_blocks() {
+        let BlockPairs::Rectangle { r, s } = space.block(k) else {
+            unreachable!("linkage blocks are rectangles")
+        };
         println!(
-            "    Φ{k} (key {}): {} x {} -> {} pairs",
-            ts.bdm().key(k),
-            ts.size_r(k),
-            ts.size_s(k),
-            ts.pairs_in_block(k)
+            "    Φ{k} (key {}): {r} x {s} -> {} pairs",
+            space.bdm().key(k),
+            space.pairs_in_block(k)
         );
     }
-    println!("  total: {} pairs (paper: 12)\n", ts.total_pairs());
+    println!("  total: {} pairs (paper: 12)\n", space.total_pairs());
     for strategy in [StrategyKind::BlockSplit, StrategyKind::PairRange] {
         let outcome = resolver
             .resolve(

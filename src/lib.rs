@@ -97,11 +97,12 @@ pub mod prelude {
     };
     pub use er_core::{
         Entity, EntityId, EntityRef, GoldStandard, MatchPair, MatchResult, MatchRule, Matcher,
-        QualityReport, SourceId,
+        QualityReport, SourceId, SourceTagError,
     };
-    pub use er_loadbalance::driver::{naive_reference, run_er, ErConfig, ErOutcome, ErStages};
+    pub use er_loadbalance::driver::{
+        naive_reference, run_er, run_linkage, ErConfig, ErOutcome, ErStages,
+    };
     pub use er_loadbalance::null_keys::{deduplicate_with_null_keys, link_with_null_keys};
-    pub use er_loadbalance::two_source::run_linkage;
     pub use er_loadbalance::{
         BlockDistributionMatrix, Ent, Keyed, RangePolicy, StrategyKind, WorkloadStats, COMPARISONS,
     };

@@ -47,10 +47,9 @@ use std::sync::Arc;
 
 use er_core::blocking::BlockingFunction;
 use er_core::sortkey::{RangePartitioner, SortKey, SortKeyFunction};
-use er_core::{MatchResult, Matcher, SourceId};
+use er_core::{check_source_tags, MatchResult, Matcher, SourceId, SourceTagError};
 use er_loadbalance::block_split::SplitPolicy;
 use er_loadbalance::driver::run_er_in;
-use er_loadbalance::two_source::run_linkage_in;
 use er_loadbalance::{BlockDistributionMatrix, Ent, RangePolicy, StrategyKind};
 use er_lsh::driver::run_lsh_in;
 use er_lsh::{LshConfig, LshParams, LshRound};
@@ -77,7 +76,7 @@ use er_loadbalance::ErConfig;
 /// | Scenario | Legacy entry point |
 /// |---|---|
 /// | `Dedup` | `er_loadbalance::run_er` |
-/// | `Linkage` | `er_loadbalance::two_source::run_linkage` |
+/// | `Linkage` | `er_loadbalance::run_linkage` |
 /// | `SortedNeighborhood` (no passes) | `er_sn::run_sorted_neighborhood` |
 /// | `SortedNeighborhood` (explicit passes) | `er_sn::run_multipass_sn` |
 /// | `TwoSourceSn` | `er_sn::run_two_source_sn` |
@@ -208,6 +207,19 @@ impl Scenario {
             } => "lsh-linkage".to_string(),
         }
     }
+
+    /// The per-partition source tags of a two-source scenario.
+    fn source_tags(&self) -> Option<&[SourceId]> {
+        match self {
+            Scenario::Linkage { sources, .. }
+            | Scenario::TwoSourceSn { sources, .. }
+            | Scenario::Lsh {
+                sources: Some(sources),
+                ..
+            } => Some(sources),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Debug for Scenario {
@@ -265,12 +277,16 @@ pub enum ResolveError {
         /// The configured window.
         window: usize,
     },
+    /// A two-source scenario's source tags do not fit its input: one
+    /// `R` or `S` tag per input partition is required. No task ran.
+    SourceTags(SourceTagError),
 }
 
 impl std::fmt::Display for ResolveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ResolveError::Mr(e) => write!(f, "MapReduce error: {e}"),
+            ResolveError::SourceTags(e) => write!(f, "invalid source tags: {e}"),
             ResolveError::ThinPartition {
                 partition,
                 entities,
@@ -289,6 +305,7 @@ impl std::error::Error for ResolveError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ResolveError::Mr(e) => Some(e),
+            ResolveError::SourceTags(e) => Some(e),
             ResolveError::ThinPartition { .. } => None,
         }
     }
@@ -297,6 +314,12 @@ impl std::error::Error for ResolveError {
 impl From<MrError> for ResolveError {
     fn from(e: MrError) -> Self {
         ResolveError::Mr(e)
+    }
+}
+
+impl From<SourceTagError> for ResolveError {
+    fn from(e: SourceTagError) -> Self {
+        ResolveError::SourceTags(e)
     }
 }
 
@@ -844,23 +867,14 @@ impl<'rt> Resolver<'rt> {
         if let Some(sink) = &self.trace_sink {
             workflow = workflow.with_trace_sink(Arc::clone(sink));
         }
+        if let Some(tags) = scenario.source_tags() {
+            check_source_tags(tags, input.len())?;
+        }
         match scenario {
-            Scenario::Dedup { strategy } => {
+            Scenario::Dedup { strategy } | Scenario::Linkage { strategy, .. } => {
                 let config = self.er_config(*strategy);
-                let stages = run_er_in(&mut workflow, input, &config)?;
-                Ok(Outcome {
-                    result: stages.result,
-                    details: ScenarioDetails::Blocked {
-                        bdm: stages.bdm,
-                        bdm_metrics: stages.bdm_metrics,
-                        match_metrics: stages.match_metrics,
-                    },
-                    workflow: workflow.finish(),
-                })
-            }
-            Scenario::Linkage { strategy, sources } => {
-                let config = self.er_config(*strategy);
-                let stages = run_linkage_in(&mut workflow, input, sources.clone(), &config)?;
+                let sources = scenario.source_tags().map(<[SourceId]>::to_vec);
+                let stages = run_er_in(&mut workflow, input, sources, &config)?;
                 Ok(Outcome {
                     result: stages.result,
                     details: ScenarioDetails::Blocked {

@@ -55,7 +55,8 @@ proptest! {
         // max(mean, largest task). The largest match task can itself
         // exceed the mean when a block is confined to one partition —
         // the bound uses the actual task sizes.
-        let tasks = er_loadbalance::block_split::create_match_tasks(&bdm, r);
+        let space = er_loadbalance::PairSpace::dedup(std::sync::Arc::new(bdm.clone()));
+        let tasks = er_loadbalance::block_split::create_match_tasks(&space, r);
         if tasks.is_empty() {
             return Ok(());
         }

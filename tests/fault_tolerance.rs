@@ -86,7 +86,7 @@ fn families() -> Vec<(&'static str, Scenario, Partitions<(), Ent>, u64)> {
                 sources,
             },
             linkage_input,
-            2, // bdm + er-block-split-2src
+            2, // bdm + er-block-split
         ),
     ]
 }

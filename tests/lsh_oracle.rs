@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use dedupe_mr::er_loadbalance::compare::MULTIPASS_SKIPPED;
-use dedupe_mr::er_loadbalance::two_source::TwoSourceBdm;
+use dedupe_mr::er_loadbalance::PairSpace;
 use dedupe_mr::prelude::*;
 use er_datagen::{ds1_spec, generate_products};
 
@@ -142,11 +142,12 @@ fn linkage_equals_the_cross_source_banded_oracle_at_every_parallelism() {
             assert_eq!(outcome.total_comparisons(), candidates.len() as u64);
 
             // Enumeration is structurally R×S per bucket, so the
-            // exactly-once ledger balances against the two-source BDM.
+            // exactly-once ledger balances against the rectangle pair
+            // space's total pairs.
             let bdm = outcome.details.bdm().expect("LSH computes a BDM");
-            let ts = TwoSourceBdm::new(Arc::clone(bdm), sources.clone());
+            let space = PairSpace::linkage(Arc::clone(bdm), &sources);
             let skipped = outcome.workflow.counters.get(MULTIPASS_SKIPPED);
-            assert_eq!(outcome.total_comparisons() + skipped, ts.total_pairs());
+            assert_eq!(outcome.total_comparisons() + skipped, space.total_pairs());
 
             let fp = fingerprint(&outcome.result);
             match &reference {

@@ -39,52 +39,114 @@ fn capped_run_produces_identical_matches() {
     assert_eq!(a.total_comparisons(), b.total_comparisons());
 }
 
+/// The same 60 titles as [`one_big_block`], half in source R and half
+/// in S, each source over two partitions.
+fn one_big_linked_block(n: usize) -> (Partitions<(), Ent>, Vec<SourceId>) {
+    let (mut r, mut s) = (Vec::new(), Vec::new());
+    for id in 0..n {
+        let source = if id % 2 == 0 {
+            SourceId::R
+        } else {
+            SourceId::S
+        };
+        let title = format!("aaa item {id:05}");
+        let entity = Arc::new(Entity::with_source(
+            source,
+            id as u64,
+            [("title", title.as_str())],
+        ));
+        if source == SourceId::R {
+            r.push(entity)
+        } else {
+            s.push(entity)
+        }
+    }
+    two_source_input(r, s, 2)
+}
+
 #[test]
 fn cap_bounds_reduce_group_buffering() {
     // r = 1: the paper's policy keeps the 60-entity block whole (one
     // reduce group buffers all 60); a 20-entity cap splits it into
     // sub-blocks of ~15 (round-robin over 4 partitions), so no group
-    // buffers more than two sub-blocks.
+    // buffers more than two sub-blocks. Linkage counts both sources
+    // against the cap and splits into R × S sub-block pairings.
     let n = 60u64;
     let m = 4usize;
-    let input = one_big_block(n as usize, m);
-
-    let plain = run_er(
-        one_big_block(n as usize, m),
-        &ErConfig::new(StrategyKind::BlockSplit)
+    let (linked, tags) = one_big_linked_block(n as usize);
+    for (input, sources, pairs) in [
+        (one_big_block(n as usize, m), None, n * (n - 1) / 2),
+        (linked, Some(tags), (n / 2) * (n / 2)),
+    ] {
+        let run = |config: &ErConfig| {
+            match &sources {
+                None => run_er(input.clone(), config),
+                Some(tags) => run_linkage(input.clone(), tags.clone(), config),
+            }
+            .unwrap()
+        };
+        let config = ErConfig::new(StrategyKind::BlockSplit)
             .with_reduce_tasks(1)
+            .with_parallelism(1);
+        let plain = run(&config);
+        let max_group_plain = plain
+            .match_metrics
+            .reduce_tasks
+            .iter()
+            .map(|t| t.records_in)
+            .max()
+            .unwrap();
+        assert_eq!(max_group_plain, n, "uncapped: the whole block in one task");
+
+        let capped = run(&config.with_memory_cap(20));
+        // All match tasks share reduce task 0 (r = 1), but each *group*
+        // (match task) holds at most two sub-blocks of 15.
+        let groups = capped
+            .match_metrics
+            .reduce_tasks
+            .iter()
+            .map(|t| t.counter("mr.reduce.input.groups"))
+            .sum::<u64>();
+        assert!(groups > 1, "the cap must create multiple match tasks");
+        assert_eq!(capped.total_comparisons(), pairs);
+        assert_eq!(capped.result.pair_set(), plain.result.pair_set());
+        assert!(!plain.result.is_empty(), "similar titles must match");
+    }
+}
+
+#[test]
+fn cap_splits_lsh_linkage_buckets() {
+    // The same cap reaches the banded key space of an LSH linkage: its
+    // oversized R × S band buckets split into more match tasks, and
+    // the pairs and comparisons stay the same.
+    let (input, sources) = one_big_linked_block(60);
+    let runtime = Runtime::new(
+        RuntimeConfig::new()
             .with_parallelism(1)
-            .with_count_only(true),
-    )
-    .unwrap();
-    let max_group_plain = plain
-        .match_metrics
-        .reduce_tasks
-        .iter()
-        .map(|t| t.records_in)
-        .max()
+            .with_reduce_tasks(1),
+    );
+    let plain = Resolver::new(&runtime);
+    let scenario = Scenario::lsh_linkage(Some(LshParams { bands: 8, rows: 2 }), sources);
+    let groups = |outcome: &Outcome| {
+        let metrics = outcome.details.match_metrics().expect("one matching job");
+        metrics
+            .reduce_tasks
+            .iter()
+            .map(|t| t.counter("mr.reduce.input.groups"))
+            .sum::<u64>()
+    };
+    let uncapped = plain.resolve(&scenario, input.clone()).unwrap();
+    let capped = plain
+        .clone()
+        .with_memory_cap(8)
+        .resolve(&scenario, input)
         .unwrap();
-    assert_eq!(max_group_plain, n, "uncapped: the whole block in one task");
-
-    let capped = run_er(
-        input,
-        &ErConfig::new(StrategyKind::BlockSplit)
-            .with_reduce_tasks(1)
-            .with_parallelism(1)
-            .with_count_only(true)
-            .with_memory_cap(20),
-    )
-    .unwrap();
-    // All match tasks share reduce task 0 (r = 1), but each *group*
-    // (match task) holds at most two sub-blocks of 15.
-    let groups = capped
-        .match_metrics
-        .reduce_tasks
-        .iter()
-        .map(|t| t.counter("mr.reduce.input.groups"))
-        .sum::<u64>();
-    assert!(groups > 1, "the cap must create multiple match tasks");
-    assert_eq!(capped.total_comparisons(), n * (n - 1) / 2);
+    assert!(
+        groups(&capped) > groups(&uncapped),
+        "the cap must split buckets"
+    );
+    assert_eq!(capped.result.pair_set(), uncapped.result.pair_set());
+    assert_eq!(capped.total_comparisons(), uncapped.total_comparisons());
 }
 
 /// A DS1-shaped corpus of exactly `n` entities with real titles (so
@@ -267,6 +329,7 @@ fn cap_splits_below_average_blocks() {
             (BlockKey::new("b"), 1, 4),
         ],
     );
+    let bdm = er_loadbalance::PairSpace::dedup(Arc::new(bdm));
     let plain = create_match_tasks_with_policy(&bdm, 2, SplitPolicy::paper());
     assert_eq!(plain.len(), 2, "both blocks whole under the paper policy");
     let capped = create_match_tasks_with_policy(&bdm, 2, SplitPolicy::with_memory_cap(5));

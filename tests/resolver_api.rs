@@ -428,3 +428,61 @@ fn one_runtime_reuses_its_pool_across_scenarios_without_drift() {
         "the scenarios must actually have executed on the pool"
     );
 }
+
+#[test]
+fn ill_fitting_source_tags_are_typed_errors_and_the_runtime_survives() {
+    let (input, sources) = two_source_corpus();
+    assert_eq!(input.len(), 4);
+    let runtime = Runtime::new(
+        RuntimeConfig::new()
+            .with_parallelism(2)
+            .with_reduce_tasks(3),
+    );
+    let resolver = Resolver::new(&runtime).with_window(4).with_partitions(3);
+    let spawned_at_construction = runtime.pool().threads_spawned();
+    let scenarios = |tags: Vec<SourceId>| {
+        [
+            Scenario::Linkage {
+                strategy: StrategyKind::BlockSplit,
+                sources: tags.clone(),
+            },
+            Scenario::TwoSourceSn {
+                strategy: SnStrategy::JobSn,
+                sources: tags.clone(),
+            },
+            Scenario::lsh_linkage(Some(LshParams { bands: 8, rows: 2 }), tags),
+        ]
+    };
+    let mut unknown = sources.clone();
+    unknown[3] = SourceId(7);
+    for (tags, expected) in [
+        (
+            vec![SourceId::R],
+            SourceTagError::Count {
+                tags: 1,
+                partitions: 4,
+            },
+        ),
+        (
+            unknown,
+            SourceTagError::Unknown {
+                partition: 3,
+                tag: SourceId(7),
+            },
+        ),
+    ] {
+        for scenario in scenarios(tags.clone()) {
+            let err = resolver.resolve(&scenario, input.clone()).unwrap_err();
+            assert_eq!(err, ResolveError::SourceTags(expected), "{scenario}");
+        }
+    }
+    for scenario in scenarios(sources) {
+        let outcome = resolver.resolve(&scenario, input.clone()).unwrap();
+        assert!(outcome.total_comparisons() > 0, "{scenario}");
+    }
+    assert_eq!(
+        runtime.pool().threads_spawned(),
+        spawned_at_construction,
+        "rejected resolves must leave the pool as it was"
+    );
+}
