@@ -160,6 +160,25 @@ mod tests {
         let bdm = Arc::new(BlockDistributionMatrix::from_counts(2, vec![]));
         let _ = PairSpace::linkage(bdm, &[SourceId::R]);
     }
+
+    #[test]
+    fn pair_enumeration_is_a_bijection() {
+        let space = appendix_example::pair_space();
+        let mut seen = vec![false; space.total_pairs() as usize];
+        for k in 0..space.num_blocks() {
+            let BlockPairs::Rectangle { r, s } = space.block(k) else {
+                panic!("linkage blocks are rectangles");
+            };
+            for x in 0..r {
+                for y in 0..s {
+                    let p = space.pair_index(k, x, y) as usize;
+                    assert!(!seen[p], "pair index {p} assigned twice");
+                    seen[p] = true;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "pair index space has gaps");
+    }
 }
 
 /// Linkage on the unified strategy jobs, one module per strategy.
