@@ -5,13 +5,21 @@
 //! The `blocked_matching` group measures the tentpole win: all-pairs
 //! matching over one block through the naive per-pair string path vs
 //! the prepare-once path (`Matcher::prepare` + `score_prepared`).
+//!
+//! The `levenshtein_at_least` case times the paper's thresholded match
+//! kernel (`NormalizedLevenshtein::sim_view_at_least` at floor 0.8) on
+//! DS1-shaped titles and writes `BENCH_micro_similarity.json` via
+//! [`er_bench::write_bench_json`]; CI smoke-runs it with `--test` and
+//! re-parses the export.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use er_bench::{median_ms, write_bench_json, Json, PAPER_SEED};
 use er_core::similarity::{
     levenshtein_distance, levenshtein_within, Jaccard, JaroWinkler, MongeElkan, NGram,
-    NormalizedLevenshtein, Similarity,
+    NormalizedLevenshtein, Prepared, Similarity,
 };
 use er_core::{Entity, MatchRule, Matcher};
 
@@ -140,9 +148,94 @@ fn bench_similarity(c: &mut Criterion) {
     g.finish();
 }
 
+/// Sorted-neighbour pairs (each title against the next
+/// `WINDOW - 1`) over the titles of a scaled DS1-like corpus, all
+/// 25–29 scalars long: near-duplicates and near-misses in the mix the
+/// reducers see.
+fn ds1_title_pairs(scale: f64) -> (Vec<String>, Vec<Prepared>, Vec<(usize, usize)>) {
+    const WINDOW: usize = 8;
+    let ds = er_datagen::generate_products(&er_datagen::ds1_spec(PAPER_SEED).scaled(scale));
+    let mut titles: Vec<String> = ds
+        .entities
+        .iter()
+        .filter_map(|e| e.get("title").map(str::to_string))
+        .collect();
+    titles.sort();
+    let s = NormalizedLevenshtein;
+    let prepared: Vec<Prepared> = titles.iter().map(|t| s.prepare(t)).collect();
+    let pairs = (0..prepared.len())
+        .flat_map(|i| ((i + 1)..(i + WINDOW).min(prepared.len())).map(move |j| (i, j)))
+        .collect();
+    (titles, prepared, pairs)
+}
+
+/// Not a criterion benchmark: times the thresholded kernel over the
+/// DS1 title pairs (median of `reps` sweeps) and exports it, with the
+/// deterministic pair and match counts, as
+/// `BENCH_micro_similarity.json`.
+fn levenshtein_at_least(c: &mut Criterion) {
+    const FLOOR: f64 = 0.8;
+    let (scale, reps) = if c.is_test_mode() {
+        (0.005, 1)
+    } else {
+        (0.05, 15)
+    };
+    let (titles, prepared, pairs) = ds1_title_pairs(scale);
+    let lengths = titles.iter().map(|t| t.chars().count());
+    let (min_len, max_len) = (
+        lengths.clone().min().unwrap_or(0),
+        lengths.max().unwrap_or(0),
+    );
+    let s = NormalizedLevenshtein;
+    let sweep = || {
+        pairs
+            .iter()
+            .filter(|&&(i, j)| {
+                s.sim_view_at_least(
+                    black_box(&prepared[i].view()),
+                    black_box(&prepared[j].view()),
+                    FLOOR,
+                )
+                .is_some()
+            })
+            .count()
+    };
+    let matches = sweep();
+    let mut sweeps_ms = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let started = Instant::now();
+        assert_eq!(black_box(sweep()), matches, "the kernel is deterministic");
+        sweeps_ms.push(started.elapsed().as_secs_f64() * 1e3);
+    }
+    let sweep_ms = median_ms(&sweeps_ms);
+    let ns_per_pair = sweep_ms * 1e6 / pairs.len().max(1) as f64;
+    println!(
+        "{:<44} {ns_per_pair:.1} ns/pair over {} pairs of {}-{} scalar titles, \
+         {matches} matches at floor {FLOOR} (median of {reps} sweeps)",
+        "similarity/levenshtein_at_least",
+        pairs.len(),
+        min_len,
+        max_len,
+    );
+    let json = Json::obj([
+        ("bench", Json::str("micro_similarity")),
+        ("case", Json::str("levenshtein_at_least")),
+        ("scale", Json::Num(scale)),
+        ("floor", Json::Num(FLOOR)),
+        ("title_len_min", Json::Num(min_len as f64)),
+        ("title_len_max", Json::Num(max_len as f64)),
+        ("pairs", Json::Num(pairs.len() as f64)),
+        ("matches", Json::Num(matches as f64)),
+        ("samples", Json::Num(reps as f64)),
+        ("median_sweep_ms", Json::Num(sweep_ms)),
+        ("median_ns_per_pair", Json::Num(ns_per_pair)),
+    ]);
+    write_bench_json("micro_similarity", &json).expect("bench json export");
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_similarity, bench_blocked_matching
+    targets = bench_similarity, bench_blocked_matching, levenshtein_at_least
 }
 criterion_main!(benches);

@@ -1,10 +1,12 @@
 //! Cross-PR perf-trail guard: diffs fresh `BENCH_*.json` exports
 //! against the baselines stored in `crates/er-bench/benches/baselines/`.
 //!
-//! Two classes of metric, told apart by name:
+//! Two classes of metric, told apart by name
+//! ([`er_bench::is_timing_metric`]):
 //!
-//! * **timing** (name contains `_ms`) — noisy by nature; compared
-//!   within a relative
+//! * **timing** (name contains `_ms` or `_ns`, or a ratio of simulated
+//!   walls such as fig09's `basic_degradation_at_s1`) — noisy by
+//!   nature; compared within a relative
 //!   noise band (`--noise`, default ±50% of the baseline, generous
 //!   because CI machines differ from the baseline machine);
 //! * **everything else** (record counts, peak gauges, ratios) —
@@ -23,7 +25,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use er_bench::{bench_json_dir, Json};
+use er_bench::{bench_json_dir, is_timing_metric, Json};
 
 /// Default relative band for `*_ms` metrics.
 const DEFAULT_NOISE: f64 = 0.5;
@@ -60,7 +62,7 @@ fn compare(current: &Json, baseline: &Json, noise: f64) -> (Vec<String>, bool) {
             ok = false;
             continue;
         };
-        if name.contains("_ms") {
+        if is_timing_metric(name) {
             let band = noise * base.abs().max(1e-9);
             let delta = cur - base;
             if delta.abs() <= band {

@@ -56,6 +56,19 @@ pub fn write_bench_json_in(dir: &Path, name: &str, value: &Json) -> std::io::Res
     Ok(path)
 }
 
+/// Numeric export members that are ratios of simulated walls: built
+/// on `cluster-sim`'s per-pair cost, which is calibrated on the running
+/// machine, so they drift with it like any timing.
+const SIMULATED_WALL_RATIOS: &[&str] = &["basic_degradation_at_s1"];
+
+/// Whether an export member is a timing (compared within a noise band
+/// by `compare_bench_json`) rather than a deterministic gauge
+/// (compared exactly): its name carries a `_ms` or `_ns` unit, or it is
+/// a ratio of simulated walls.
+pub fn is_timing_metric(name: &str) -> bool {
+    name.contains("_ms") || name.contains("_ns") || SIMULATED_WALL_RATIOS.contains(&name)
+}
+
 /// Median of a sample set (upper median for even sizes — matches the
 /// criterion shim's report).
 pub fn median_ms(samples: &[f64]) -> f64 {
@@ -75,6 +88,26 @@ mod tests {
         // re-export surface er-bench callers compile against.
         let value = Json::obj([("bench", Json::str("unit")), ("wall_ms", Json::Num(1.5))]);
         assert_eq!(Json::parse(&value.to_string()).unwrap(), value);
+    }
+
+    #[test]
+    fn timing_metrics_are_told_from_gauges() {
+        for timing in [
+            "median_wall_ms",
+            "p95_ms_t1_fifo",
+            "median_ns_per_pair",
+            "basic_degradation_at_s1",
+        ] {
+            assert!(is_timing_metric(timing), "{timing}");
+        }
+        for gauge in [
+            "comparisons",
+            "peak_resident_fraction",
+            "matches",
+            "imbalance",
+        ] {
+            assert!(!is_timing_metric(gauge), "{gauge}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub mod series;
 pub mod setup;
 pub mod table;
 
-pub use json::{bench_json_dir, median_ms, write_bench_json, Json};
+pub use json::{bench_json_dir, is_timing_metric, median_ms, write_bench_json, Json};
 pub use series::Series;
 pub use setup::{bdm_from_keys, simulate_strategy, sorted_keys, ExperimentCost, PAPER_SEED};
 pub use table::TextTable;

@@ -161,7 +161,8 @@ impl Matcher {
     /// paper's default) the score equals the rule similarity
     /// bit-exactly, so the decision is delegated to the measure's
     /// threshold-aware kernel ([`Similarity::sim_view_at_least`]),
-    /// which may abandon hopeless pairs early (banded edit distance).
+    /// which may abandon hopeless pairs early (thresholded edit
+    /// distance).
     /// Decisions and scores are identical to the exact path in all
     /// cases.
     pub fn matches_prepared(&self, a: &PreparedEntity, b: &PreparedEntity) -> Option<f64> {
@@ -522,11 +523,23 @@ impl MatcherCache {
         }
     }
 
-    /// Threshold decision using cached prepared forms for both sides.
+    /// Threshold decision using cached prepared forms for both sides,
+    /// decided as `score >= threshold` on the exact unrestricted score
+    /// ([`Matcher::score_arena`] / [`Matcher::score_prepared`]).
+    ///
+    /// This is the brute-force oracles' decision, so it deliberately
+    /// bypasses the thresholded kernels [`MatcherCache::matches_handles`]
+    /// runs in the reducers: an oracle built on it can catch a bug in
+    /// them. Decisions and scores equal `matches_handles`'s on every
+    /// pair.
     pub fn matches(&mut self, a: &Entity, b: &Entity) -> Option<f64> {
         let pa = self.handle(a);
         let pb = self.handle(b);
-        self.matches_handles(&pa, &pb)
+        let arena = self.arena();
+        let score = self
+            .matcher
+            .score_values(Self::values_ref(arena, &pa), Self::values_ref(arena, &pb));
+        (score >= self.matcher.threshold).then_some(score)
     }
 
     /// Number of entities currently resident.
@@ -666,8 +679,8 @@ mod tests {
 
     #[test]
     fn fast_path_decision_equals_exact_path() {
-        // paper_default is single-rule unit-weight -> banded fast
-        // path; decisions and scores must match the string path.
+        // paper_default is single-rule unit-weight -> thresholded
+        // fast path; decisions and scores must match the string path.
         let m = Matcher::paper_default();
         for (ta, tb) in [
             ("abcdefghij", "abcdefghij"),
@@ -766,6 +779,13 @@ mod tests {
             assert_eq!(
                 via_handles.map(f64::to_bits),
                 direct.map(f64::to_bits),
+                "{ta:?} vs {tb:?}"
+            );
+            // The oracles' exact-score decision agrees with the
+            // thresholded kernel.
+            assert_eq!(
+                cache.matches(&a, &b).map(f64::to_bits),
+                via_handles.map(f64::to_bits),
                 "{ta:?} vs {tb:?}"
             );
             cache.clear();

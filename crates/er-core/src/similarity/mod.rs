@@ -35,6 +35,15 @@
 //! | [`CosineTokens`] | `HashedCounts` | sorted (token hash, count) + L2 norm |
 //! | [`MongeElkan`] | `Tokens` | inner-prepared whitespace tokens |
 //!
+//! [`NormalizedLevenshtein`]'s `Chars` form feeds one of three edit
+//! distance kernels. The thresholded path
+//! ([`Similarity::sim_view_at_least`], which the reducers run) uses a
+//! bit-parallel kernel — one `u64` per DP column — when the shorter
+//! string has at most 64 scalars, and a banded DP otherwise. The
+//! exact scoring path ([`Similarity::sim_view`]) runs the full DP,
+//! [`levenshtein_distance_chars`], which is also the reference both
+//! thresholded kernels are tested against.
+//!
 //! Set-based measures compare 64-bit hashes with a linear merge walk
 //! instead of allocating `BTreeSet<String>`s per pair; a collision
 //! between two *distinct* grams of the same corpus (probability
@@ -309,9 +318,9 @@ pub trait Similarity: Send + Sync {
     ///
     /// The default computes the full similarity and compares. Measures
     /// with a cheaper bounded kernel override it to abandon hopeless
-    /// pairs early — [`NormalizedLevenshtein`] evaluates only a
-    /// diagonal DP band wide enough for distances that can still reach
-    /// `floor`, which is what makes thresholded matching at paper
+    /// pairs early — [`NormalizedLevenshtein`] bounds the edit distance
+    /// that can still reach `floor` and stops scanning once it is
+    /// exceeded, which is what makes thresholded matching at paper
     /// scale affordable.
     fn sim_view_at_least(
         &self,

@@ -38,9 +38,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn corpus() -> Vec<Entity> {
-    // Titles long and varied enough to exercise the banded DP, the
-    // token measures, and the set measures; one entity lacks a title
-    // to cover the missing-attribute path.
+    // Titles long and varied enough to exercise the edit-distance
+    // kernels (non-ASCII scalars included), the token measures, and
+    // the set measures; one entity lacks a title to cover the
+    // missing-attribute path.
     let titles = [
         "canon eos 5d mark iii body kit",
         "canon eos 5d mark ii body kit",
@@ -53,6 +54,8 @@ fn corpus() -> Vec<Entity> {
         "fujifilm x-pro1 rangefinder style",
         "pentax k-5 ii dslr weather sealed",
         "leica m9 rangefinder digital",
+        "leica m9 télémètre numérique",
+        "leica m9 télémètre numériqué",
         "samsung nx200 compact system camera",
     ];
     let mut entities: Vec<Entity> = titles
@@ -70,7 +73,7 @@ fn arena_compare_loop_allocates_nothing_after_warm_up() {
     // weighted path: edit distance (chars + DP scratch), Jaro-Winkler
     // (match scratch), Monge-Elkan (nested token views), Jaccard /
     // n-gram (hashed sets), cosine (hashed counts).
-    let matcher = Arc::new(Matcher::new(
+    let weighted = Matcher::new(
         vec![
             MatchRule::new("title", Arc::new(er_core::NormalizedLevenshtein)).with_weight(2.0),
             MatchRule::new("title", Arc::new(er_core::JaroWinkler::default())),
@@ -80,9 +83,19 @@ fn arena_compare_loop_allocates_nothing_after_warm_up() {
             MatchRule::new("brand", Arc::new(er_core::CosineTokens)),
         ],
         0.5,
-    ));
-    let entities = corpus();
-    let mut cache = MatcherCache::new(Arc::clone(&matcher));
+    );
+    // The paper's single-rule matcher decides through the thresholded
+    // edit-distance kernel (bit-parallel pattern masks) instead.
+    for matcher in [weighted, Matcher::paper_default()] {
+        assert_sweep_allocates_nothing(Arc::new(matcher), &corpus());
+    }
+}
+
+/// Interns `entities`, warms up with one all-pairs sweep, and asserts
+/// that a second identical sweep allocates nothing and reproduces the
+/// warm-up decisions bit-exactly.
+fn assert_sweep_allocates_nothing(matcher: Arc<Matcher>, entities: &[Entity]) {
+    let mut cache = MatcherCache::new(matcher);
 
     // Warm-up: intern every entity, then run one full all-pairs sweep
     // so thread-local scratch buffers grow to their high-water marks.
